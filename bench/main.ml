@@ -21,8 +21,6 @@ let experiments =
     ("e4", "instance vs set granularity", Perf.e4);
     ("e5", "consuming vs preserving", Perf.e5);
     ("e6", "engine throughput", Perf.e6);
-    ("e7", "memoized ts ablation", Perf.e7);
-    ("e8", "shared memo engine path", Perf.e8);
     ("e9", "journaling overhead (fsync policy)", Durability.e9);
     ("e10", "observability overhead", Obs_overhead.e10);
     ("e11", "wide rule sets: sweep vs indexed wake", Wide.e11);

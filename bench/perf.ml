@@ -75,10 +75,9 @@ let e1 () =
 (* Detection-layer harness: rules checked by the Trigger Support directly
    over a raw event stream, with immediate synthetic consideration so the
    triggered flag does not mask work. *)
-let detection_run ?(memoize = false) ~optimizer ~rules ~stream ~block () =
+let detection_run ~optimizer ~rules ~stream ~block () =
   let table = Rule_table.create () in
   let eb = Event_base.create () in
-  let memo = Memo.create eb in
   let tx_start = Event_base.probe_now eb in
   List.iteri
     (fun i event ->
@@ -102,8 +101,6 @@ let detection_run ?(memoize = false) ~optimizer ~rules ~stream ~block () =
     {
       Trigger_support.detection = Trigger_support.Exact;
       optimizer;
-      style = Ts.Logical;
-      memoize;
       (* This harness drives check_all directly without an engine, so
          there is no listener feeding a wake index: sweep mode. *)
       wake = Trigger_support.Sweep;
@@ -131,12 +128,12 @@ let detection_run ?(memoize = false) ~optimizer ~rules ~stream ~block () =
         List.iter
           (fun (etype, oid) -> ignore (Event_base.record eb ~etype ~oid))
           now;
-        Trigger_support.check_all config stats memo wake table;
+        Trigger_support.check_all config stats eb wake table;
         consider_triggered ();
         feed later
   in
   let elapsed, () = Bench_util.time_once_ns (fun () -> feed stream) in
-  (elapsed, stats, memo)
+  (elapsed, stats)
 
 let e2 () =
   Bench_util.print_header "E2: ablation - the V(E) relevance filter (Section 5.1)";
@@ -169,10 +166,10 @@ let e2 () =
             Expr_gen.gen rule_prng ~profile:Expr_gen.regular_profile
               ~alphabet:sub ~depth:3 ())
       in
-      let t_off, s_off, _ =
+      let t_off, s_off =
         detection_run ~optimizer:false ~rules ~stream ~block:4 ()
       in
-      let t_on, s_on, _ =
+      let t_on, s_on =
         detection_run ~optimizer:true ~rules ~stream ~block:4 ()
       in
       let row optimizer t (s : Trigger_support.stats) speedup =
@@ -281,12 +278,12 @@ let e5 () =
 
 let e6 () =
   Bench_util.print_header "E6: end-to-end engine throughput (inventory scenario)";
-  let run ?(memoize = false) ~detection ~optimizer ~extra_rules () =
+  let run ~detection ~optimizer ~extra_rules () =
     let config =
       {
         Engine.default_config with
         Engine.trigger =
-          { Trigger_support.default_config with detection; optimizer; memoize };
+          { Trigger_support.default_config with detection; optimizer };
       }
     in
     let engine = Scenario.engine ~config () in
@@ -334,8 +331,8 @@ let e6 () =
         [ Pretty.Left; Pretty.Right; Pretty.Right; Pretty.Right; Pretty.Right; Pretty.Right ]
       ()
   in
-  let row ?memoize name ~detection ~optimizer ~extra_rules =
-    let elapsed, stats, lines = run ?memoize ~detection ~optimizer ~extra_rules () in
+  let row name ~detection ~optimizer ~extra_rules =
+    let elapsed, stats, lines = run ~detection ~optimizer ~extra_rules () in
     Pretty.add_row table
       [
         name;
@@ -356,8 +353,6 @@ let e6 () =
     ~optimizer:false ~extra_rules:16;
   row "endpoint, V(E) on, +16 listeners" ~detection:Trigger_support.Endpoint
     ~optimizer:true ~extra_rules:16;
-  row "exact, V(E)+memo, +16 listeners" ~memoize:true
-    ~detection:Trigger_support.Exact ~optimizer:true ~extra_rules:16;
   Pretty.print table
 
 let all () =
@@ -366,304 +361,3 @@ let all () =
   e4 ();
   e5 ();
   e6 ()
-
-(* ------------------------------------------------------------------ E7 *)
-
-let e7 () =
-  Bench_util.print_header
-    "E7: ablation - memoized ts over hash-consed expressions (extension)";
-  Bench_util.print_note
-    "Exact detection probes every rule at every event instant.  Rules of a\n\
-     set share subexpressions, and ts(E, at) over an append-only log is\n\
-     immutable per (node, instant): the memo evaluator caches across both\n\
-     probes and rules.";
-  let prng = Prng.create ~seed:707 in
-  let alphabet = Domain.abstract_alphabet 6 in
-  (* A shared library of subexpressions; each monitored expression combines
-     three of them, so the memo sees heavy structural sharing. *)
-  let library =
-    Array.init 8 (fun _ ->
-        Expr_gen.gen prng ~profile:Expr_gen.regular_profile ~alphabet ~depth:2 ())
-  in
-  let combine () =
-    let pick () = library.(Prng.next_int prng ~bound:(Array.length library)) in
-    let ops = [| Expr.conj; Expr.disj; Expr.seq |] in
-    let op () = ops.(Prng.next_int prng ~bound:3) in
-    (op ()) ((op ()) (pick ()) (pick ())) (pick ())
-  in
-  let table =
-    Pretty.table ~title:"probe every expression at every event instant"
-      ~header:[ "exprs"; "events"; "plain ts"; "memoized"; "speedup"; "hit rate" ]
-      ~aligns:
-        [ Pretty.Right; Pretty.Right; Pretty.Right; Pretty.Right; Pretty.Right; Pretty.Right ]
-      ()
-  in
-  let json_rows = ref [] in
-  List.iter
-    (fun (nexprs, nevents) ->
-      let exprs = List.init nexprs (fun _ -> combine ()) in
-      let stream = Expr_gen.stream prng ~alphabet ~objects:16 ~length:nevents in
-      let eb = Bench_util.replay_stream stream in
-      let instants =
-        Event_base.timestamps_in eb
-          ~window:(Window.all ~upto:(Event_base.probe_now eb))
-      in
-      let env = Ts.env eb ~window:(Window.all ~upto:(Event_base.probe_now eb)) in
-      let plain, () =
-        Bench_util.time_once_ns (fun () ->
-            List.iter
-              (fun at -> List.iter (fun e -> ignore (Ts.ts env ~at e)) exprs)
-              instants)
-      in
-      let memo = Memo.create eb in
-      let handles = List.map (Memo.intern memo) exprs in
-      let memoized, () =
-        Bench_util.time_once_ns (fun () ->
-            List.iter
-              (fun at ->
-                List.iter
-                  (fun h ->
-                    ignore (Memo.ts_handle memo ~after:Time.origin ~at h))
-                  handles)
-              instants)
-      in
-      let hits = float_of_int (Memo.hits memo) in
-      let total = hits +. float_of_int (Memo.misses memo) in
-      json_rows :=
-        Bench_util.(
-          J_obj
-            [
-              ("exprs", J_int nexprs);
-              ("events", J_int nevents);
-              ("plain_ns", J_float plain);
-              ("memo_ns", J_float memoized);
-              ("speedup", J_float (plain /. memoized));
-              ("hit_rate", J_float (hits /. total));
-              ("nodes", J_int (Memo.node_count memo));
-            ])
-        :: !json_rows;
-      Pretty.add_row table
-        [
-          string_of_int nexprs;
-          string_of_int nevents;
-          Pretty.ns_cell plain;
-          Pretty.ns_cell memoized;
-          Pretty.ratio_cell plain memoized;
-          Printf.sprintf "%.1f%%" (100.0 *. hits /. total);
-        ])
-    [ (8, 500); (24, 1_000); (48, 2_000) ];
-  Pretty.print table;
-  Bench_util.write_json ~experiment:"e7" (List.rev !json_rows)
-
-(* ------------------------------------------------------------------ E8 *)
-
-(* The shared memo as the default engine path, from two vantage points:
-
-   - trigger layer: [detection_run] isolates the Trigger Support scan the
-     cross-rule cache actually serves.  Rule sets combine subexpressions
-     from a shared library, so structurally equal nodes intern once and
-     their windowed values are reused across rules and probe instants.
-   - engine level: end-to-end inventory runs, where store, condition and
-     action work dominate.  Here the memo must at least not slow the
-     e6-style standard workload down; min-of-3 timing damps the single
-     run noise. *)
-let e8 () =
-  Bench_util.print_header
-    "E8: shared memo as the default engine path (extension)";
-  Bench_util.print_note
-    "Identical rules and traffic per row pair; only [memoize] differs.\n\
-     Trigger-layer rows isolate the detection scan the shared cache\n\
-     serves: monitoring rules that wait for a pattern ending in an event\n\
-     that never arrives, so every window stays anchored at the\n\
-     transaction start and every probe re-reads the shared library\n\
-     subexpressions.  Engine rows time the whole inventory pipeline (min\n\
-     of 3 runs), where the memo must not cost the small standard rule\n\
-     set anything.";
-  let json_rows = ref [] in
-  (* -- trigger layer ------------------------------------------------ *)
-  let prng = Prng.create ~seed:(Bench_util.seed_of_experiment "e8") in
-  let types = Domain.abstract_alphabet 9 in
-  let live = List.filteri (fun i _ -> i < 8) types in
-  let rare = List.nth types 8 in
-  (* Half the library is instance-lifted: per-object evaluation is the
-     expensive recompute (E4) that the per-(node, object) slots target. *)
-  let library =
-    Array.init 8 (fun i ->
-        if i mod 2 = 0 then
-          let p j = List.nth live ((i + j) mod 8) in
-          Expr.Inst (Expr.i_seq (Expr.I_prim (p 0)) (Expr.I_prim (p 3)))
-        else
-          Expr_gen.gen prng ~profile:Expr_gen.regular_profile ~alphabet:live
-            ~depth:2 ())
-  in
-  (* Each rule scans for a shared-library combination followed by the
-     rare closing event; it keeps probing without ever triggering. *)
-  let combine () =
-    let pick () = library.(Prng.next_int prng ~bound:(Array.length library)) in
-    let ops = [| Expr.conj; Expr.disj; Expr.seq |] in
-    let op () = ops.(Prng.next_int prng ~bound:3) in
-    Expr.conj ((op ()) (pick ()) (pick ())) (Expr.prim rare)
-  in
-  let stream = Expr_gen.stream prng ~alphabet:live ~objects:16 ~length:4_000 in
-  let trigger_table =
-    Pretty.table
-      ~title:
-        "trigger layer: 4000 events, blocks of 4, shared-library monitors"
-      ~header:[ "rules"; "memo"; "total"; "speedup"; "hit rate"; "nodes" ]
-      ~aligns:
-        [ Pretty.Right; Pretty.Left; Pretty.Right; Pretty.Right; Pretty.Right;
-          Pretty.Right ]
-      ()
-  in
-  List.iter
-    (fun nrules ->
-      let rules = List.init nrules (fun _ -> combine ()) in
-      let t_off, _, _ =
-        detection_run ~optimizer:true ~rules ~stream ~block:4 ()
-      in
-      let t_on, _, memo =
-        detection_run ~memoize:true ~optimizer:true ~rules ~stream ~block:4 ()
-      in
-      let hits = float_of_int (Memo.hits memo) in
-      let total = hits +. float_of_int (Memo.misses memo) in
-      let hit_rate = if total > 0.0 then hits /. total else 0.0 in
-      let row label t speedup hit nodes =
-        Pretty.add_row trigger_table
-          [ string_of_int nrules; label; Pretty.ns_cell t; speedup; hit; nodes ]
-      in
-      row "off" t_off "1.00x" "-" "-";
-      row "on" t_on (Pretty.ratio_cell t_off t_on)
-        (Printf.sprintf "%.1f%%" (100.0 *. hit_rate))
-        (string_of_int (Memo.node_count memo));
-      json_rows :=
-        Bench_util.(
-          J_obj
-            [
-              ("layer", J_string "trigger");
-              ("rules", J_int nrules);
-              ("plain_ns", J_float t_off);
-              ("memo_ns", J_float t_on);
-              ("speedup", J_float (t_off /. t_on));
-              ("hit_rate", J_float hit_rate);
-              ("memo_nodes", J_int (Memo.node_count memo));
-            ])
-        :: !json_rows)
-    [ 16; 64 ];
-  Pretty.print trigger_table;
-  (* -- engine level ------------------------------------------------- *)
-  let run ~memoize ~extra_rules () =
-    let config =
-      {
-        Engine.default_config with
-        Engine.trigger =
-          { Trigger_support.default_config with Trigger_support.memoize };
-      }
-    in
-    let engine = Scenario.engine ~config () in
-    let rule_prng = Prng.create ~seed:88 in
-    let domain_types =
-      [| Domain.create_stock; Domain.modify_stock_quantity; Domain.delete_stock |]
-    in
-    let library =
-      Array.init 6 (fun _ ->
-          Expr.map_primitives
-            (fun _ -> Prng.pick rule_prng domain_types)
-            (Expr_gen.gen rule_prng ~profile:Expr_gen.regular_profile
-               ~alphabet:(Domain.abstract_alphabet 3) ~depth:2 ()))
-    in
-    let combine () =
-      let pick () =
-        library.(Prng.next_int rule_prng ~bound:(Array.length library))
-      in
-      let ops = [| Expr.conj; Expr.disj; Expr.seq |] in
-      let op () = ops.(Prng.next_int rule_prng ~bound:3) in
-      (op ()) ((op ()) (pick ()) (pick ())) (pick ())
-    in
-    for i = 1 to extra_rules do
-      ignore
-        (Engine.define_exn engine
-           {
-             Rule.name = Printf.sprintf "shared%d" i;
-             target = None;
-             event = combine ();
-             condition = [];
-             action = [];
-             coupling = Rule.Immediate;
-             consumption = Rule.Consuming;
-             priority = -1;
-           })
-    done;
-    let prng = Prng.create ~seed:(Bench_util.seed_of_experiment "e8") in
-    let lines = 400 and ops_per_line = 5 in
-    let elapsed, () =
-      Bench_util.time_once_ns (fun () ->
-          Scenario.run_inventory_traffic prng engine ~lines ~ops_per_line;
-          match Engine.commit engine with
-          | Ok () -> ()
-          | Error e -> invalid_arg (Fmt.str "%a" Engine.pp_error e))
-    in
-    (elapsed, Engine.statistics engine, lines)
-  in
-  (* Fresh engines per run, deterministic seeds: the statistics are
-     identical across repetitions, only the wall clock varies. *)
-  let min_of_3 f =
-    let best = ref infinity and result = ref None in
-    for _ = 1 to 3 do
-      let t, stats, lines = f () in
-      if t < !best then best := t;
-      result := Some (stats, lines)
-    done;
-    let stats, lines = Option.get !result in
-    (!best, stats, lines)
-  in
-  let engine_table =
-    Pretty.table
-      ~title:"engine level: 400 lines x 5 ops, standard + shared-library rules"
-      ~header:[ "extra rules"; "memo"; "lines/s"; "speedup"; "hit rate"; "nodes" ]
-      ~aligns:
-        [ Pretty.Right; Pretty.Left; Pretty.Right; Pretty.Right; Pretty.Right;
-          Pretty.Right ]
-      ()
-  in
-  List.iter
-    (fun extra_rules ->
-      let t_off, _, _ = min_of_3 (run ~memoize:false ~extra_rules) in
-      let t_on, stats, lines = min_of_3 (run ~memoize:true ~extra_rules) in
-      let hits = float_of_int stats.Engine.memo_hits in
-      let total = hits +. float_of_int stats.Engine.memo_misses in
-      let hit_rate = if total > 0.0 then hits /. total else 0.0 in
-      let lines_per_s t = float_of_int lines /. (t /. 1e9) in
-      let row memo t speedup hit_rate nodes =
-        Pretty.add_row engine_table
-          [
-            string_of_int extra_rules;
-            memo;
-            Printf.sprintf "%.0f" (lines_per_s t);
-            speedup;
-            hit_rate;
-            nodes;
-          ]
-      in
-      row "off" t_off "1.00x" "-" "-";
-      row "on" t_on (Pretty.ratio_cell t_off t_on)
-        (Printf.sprintf "%.1f%%" (100.0 *. hit_rate))
-        (string_of_int stats.Engine.memo_nodes);
-      json_rows :=
-        Bench_util.(
-          J_obj
-            [
-              ("layer", J_string "engine");
-              ("extra_rules", J_int extra_rules);
-              ("plain_ns", J_float t_off);
-              ("memo_ns", J_float t_on);
-              ("plain_lines_per_s", J_float (lines_per_s t_off));
-              ("memo_lines_per_s", J_float (lines_per_s t_on));
-              ("speedup", J_float (t_off /. t_on));
-              ("hit_rate", J_float hit_rate);
-              ("memo_nodes", J_int stats.Engine.memo_nodes);
-              ("events", J_int stats.Engine.events);
-            ])
-        :: !json_rows)
-    [ 0; 16 ];
-  Pretty.print engine_table;
-  Bench_util.write_json ~experiment:"e8" (List.rev !json_rows)

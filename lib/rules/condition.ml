@@ -26,24 +26,6 @@ type atom =
 
 type t = atom list
 
-(* How event formulas are evaluated: recompute-from-indexes (a plain
-   [Ts.env]) or through the engine's shared memo over interned
-   expressions — the default path.  Both agree (property-tested). *)
-type evaluator =
-  | Recompute of Ts.env
-  | Memoized of { memo : Memo.t; after : Time.t }
-
-let occurred_objects ev ~at expr =
-  match ev with
-  | Recompute env -> Ts.occurred_objects env ~at expr
-  | Memoized { memo; after } -> Memo.occurred_objects memo ~after ~at expr
-
-let occurrence_instants ev ~at expr oid =
-  match ev with
-  | Recompute env -> Ts.occurrence_instants env ~at expr oid
-  | Memoized { memo; after } ->
-      Memo.occurrence_instants memo ~after ~at expr oid
-
 (* A binding environment; object variables are bound to [Value.Oid],
    time variables to [Value.Int] carrying the raw instant. *)
 type env = (string * Value.t) list
@@ -108,7 +90,7 @@ let rec eval_atom store ev ~at atom envs : (env list, error) result =
         envs
       |> Result.map List.concat
   | Occurred { expr; var } ->
-      let matching = occurred_objects ev ~at expr in
+      let matching = Ts.occurred_objects ev ~at expr in
       map_result
         (fun env ->
           match lookup env var with
@@ -127,7 +109,7 @@ let rec eval_atom store ev ~at atom envs : (env list, error) result =
       |> Result.map List.concat
   | At { expr; var; time_var } ->
       let extend env oid =
-        let instants = occurrence_instants ev ~at expr oid in
+        let instants = Ts.occurrence_instants ev ~at expr oid in
         List.map
           (fun tau ->
             let env =
@@ -147,7 +129,7 @@ let rec eval_atom store ev ~at atom envs : (env list, error) result =
                   (Printf.sprintf "variable %s is not an object (%s)" var
                      (Value.to_string v)))
           | None ->
-              let candidates = occurred_objects ev ~at expr in
+              let candidates = Ts.occurred_objects ev ~at expr in
               Ok (List.concat_map (extend env) candidates))
         envs
       |> Result.map List.concat
@@ -172,7 +154,7 @@ and eval_under store ev ~at atoms envs : (env list, error) result =
     (Ok envs) (plan atoms)
 
 (* Evaluates the condition at instant [at] against the window R carried
-   by the evaluator; returns the satisfying bindings (empty list: not
+   by the ts environment; returns the satisfying bindings (empty list: not
    satisfied). *)
 let eval store ev ~at atoms : (env list, error) result =
   eval_under store ev ~at atoms [ [] ]

@@ -89,9 +89,6 @@ type stats = {
   mutable executions : int;  (** considerations whose condition held *)
   mutable operations : int;
   mutable events : int;
-  mutable memo_hits : int;  (** shared-memo cache hits (cumulative) *)
-  mutable memo_misses : int;  (** shared-memo cache misses (cumulative) *)
-  mutable memo_nodes : int;  (** interned nodes (shows cross-rule sharing) *)
   mutable aborts : int;  (** transactions rolled back via {!abort} *)
   mutable block_rollbacks : int;  (** failed blocks undone atomically *)
   mutable journal_appends : int;  (** records accepted by the journal *)
@@ -114,9 +111,6 @@ let stats () =
     executions = 0;
     operations = 0;
     events = 0;
-    memo_hits = 0;
-    memo_misses = 0;
-    memo_nodes = 0;
     aborts = 0;
     block_rollbacks = 0;
     journal_appends = 0;
@@ -176,10 +170,6 @@ type t = {
   config : config;
   store : Object_store.t;
   mutable eb : Event_base.t;
-  memo : Memo.t;
-      (** the shared evaluation cache: one interned node graph for every
-          rule, cache entries keyed by window; survives commits and
-          compactions via {!Memo.restart} *)
   rules : Rule_table.t;
   wake : Trigger_support.Wake.t;
       (** the reverse V(E) index over rules, fed by an event-base
@@ -241,7 +231,6 @@ let create ?(config = default_config) schema =
     config;
     store;
     eb;
-    memo = Memo.create eb;
     rules;
     wake;
     tx_start = Event_base.probe_now eb;
@@ -263,13 +252,9 @@ let create ?(config = default_config) schema =
 
 let store t = t.store
 let event_base t = t.eb
-let memo t = t.memo
 let rules t = t.rules
 
 let statistics t =
-  t.stats.memo_hits <- Memo.hits t.memo;
-  t.stats.memo_misses <- Memo.misses t.memo;
-  t.stats.memo_nodes <- Memo.node_count t.memo;
   (match t.journal with
   | None -> ()
   | Some j ->
@@ -497,7 +482,7 @@ let run_block t ops : (Ident.Oid.t option list, error) result =
         Ok (oid :: oids))
       (Ok []) ops
   in
-  Trigger_support.check_all t.config.trigger t.stats.trigger_stats t.memo
+  Trigger_support.check_all t.config.trigger t.stats.trigger_stats t.eb
     t.wake t.rules;
   Ok (List.rev affected)
 
@@ -528,7 +513,7 @@ let run_action_body t rule envs : (unit, error) result =
         Ok ())
       (Ok ()) envs
   in
-  Trigger_support.check_all t.config.trigger t.stats.trigger_stats t.memo
+  Trigger_support.check_all t.config.trigger t.stats.trigger_stats t.eb
     t.wake t.rules;
   Ok ()
 
@@ -549,17 +534,10 @@ let consider t rule : (unit, error) result =
   let tok = Obs.Trace.begin_ "engine.consider" ~detail:(Rule.name rule) in
   let at = Event_base.probe_now t.eb in
   let after = Rule.formula_window_start rule ~tx_start:t.tx_start in
-  let evaluator =
-    if t.config.trigger.Trigger_support.memoize then
-      Condition.Memoized { memo = t.memo; after }
-    else
-      let window = Window.make ~after ~upto:at in
-      Condition.Recompute
-        (Ts.env ~style:t.config.trigger.Trigger_support.style t.eb ~window)
-  in
+  let env = Ts.env t.eb ~window:(Window.make ~after ~upto:at) in
   let ctok = Obs.Trace.begin_ "engine.condition" ~detail:(Rule.name rule) in
   let condition =
-    (Condition.eval t.store evaluator ~at rule.Rule.spec.condition
+    (Condition.eval t.store env ~at rule.Rule.spec.condition
       : (_, Condition.error) result
       :> (_, error) result)
   in
@@ -693,7 +671,7 @@ let ingest_event t ~etype ~oid : (unit, error) result =
       t.stats.events <- t.stats.events + 1;
       let occ = Event_base.record t.eb ~etype ~oid in
       journal_append t ~tag:"ev" (Event_codec.occurrence_line occ);
-      Trigger_support.check_all t.config.trigger t.stats.trigger_stats t.memo
+      Trigger_support.check_all t.config.trigger t.stats.trigger_stats t.eb
         t.wake t.rules;
       Ok ()
     in
@@ -828,7 +806,7 @@ let rec commit t : (unit, error) result =
 and commit_body t : (unit, error) result =
   (* Give deferred rules a final trigger check over the whole transaction,
      then process every triggered rule. *)
-  Trigger_support.check_all t.config.trigger t.stats.trigger_stats t.memo
+  Trigger_support.check_all t.config.trigger t.stats.trigger_stats t.eb
     t.wake t.rules;
   let* () = process t ~include_deferred:true in
   let checkpointing = Option.is_some t.ckpt in
@@ -865,10 +843,6 @@ and commit_body t : (unit, error) result =
   let fresh_start = Event_base.probe_now t.eb in
   t.tx_start <- fresh_start;
   Rule_table.iter (fun rule -> Rule.reset rule ~tx_start:fresh_start) t.rules;
-  (* Every rule window restarted at the commit instant, so no cached value
-     is reachable again: drop them all, keep the interned graph (and
-     rebind to the fresh log when the commit compacted). *)
-  Memo.restart t.memo t.eb;
   (* The whole live window died with the windows: retire it in place.
      Under checkpointing this replaces compaction entirely — indices and
      EIDs stay stable across the engine's lifetime. *)
@@ -888,9 +862,8 @@ and commit_body t : (unit, error) result =
 
 (* Restores the engine to the transaction start: store (undo log), event
    base (truncation — clock and EIDs rewind with it), trigger state,
-   timers (countdowns back, mid-transaction definitions dropped), memo
-   (all cached values over the truncated log go).  Observationally the
-   transaction never ran. *)
+   timers (countdowns back, mid-transaction definitions dropped).
+   Observationally the transaction never ran. *)
 let abort t =
   let tok = Obs.Trace.begin_ "engine.abort" in
   (match t.journal with None -> () | Some j -> Journal.abort j);
@@ -909,7 +882,6 @@ let abort t =
       Hashtbl.add t.timer_index tm.timer_name ();
       Queue.add tm t.timers)
     t.tx_timers;
-  Memo.restart t.memo t.eb;
   (* Activations buffered by the aborted transaction never happened. *)
   t.tx_notifies <- [];
   t.stats.aborts <- t.stats.aborts + 1;
@@ -1004,7 +976,7 @@ let replay_entry t (entry : Journal.entry) : (unit, string) result =
 (* Applies a batch of committed transactions and settles the engine on
    the resulting committed state, exactly as a completed [recover] would:
    undo log forgotten, rule windows restarted, wake index re-derived,
-   memo restarted, fresh transaction begun.  This is the whole of the
+   fresh transaction begun.  This is the whole of the
    replay machinery behind both {!recover} (one batch, a fresh engine)
    and {!apply_replayed} (incremental batches on a replication
    follower). *)
@@ -1029,7 +1001,6 @@ let apply_committed_txs t txs : (unit, string) result =
   (* The replay recorded events through the same listener feed, but the
      windows all moved: re-derive the wake index from scratch. *)
   Trigger_support.Wake.rebuild t.wake t.rules;
-  Memo.restart t.memo t.eb;
   (* The replayed history is unreachable, exactly as after a commit:
      retire it so a long-lived standby's event base stays bounded. *)
   if t.config.window_events then begin

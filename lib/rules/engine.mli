@@ -10,7 +10,6 @@
 
 open Chimera_util
 open Chimera_event
-open Chimera_calculus
 open Chimera_store
 
 type error = [ Condition.error | `Nontermination of string ]
@@ -52,9 +51,6 @@ type stats = {
   mutable executions : int;  (** considerations whose condition held *)
   mutable operations : int;
   mutable events : int;
-  mutable memo_hits : int;  (** shared-memo cache hits (cumulative) *)
-  mutable memo_misses : int;  (** shared-memo cache misses (cumulative) *)
-  mutable memo_nodes : int;  (** interned nodes (shows cross-rule sharing) *)
   mutable aborts : int;  (** transactions rolled back via {!abort} *)
   mutable block_rollbacks : int;  (** failed blocks undone atomically *)
   mutable journal_appends : int;  (** records accepted by the journal *)
@@ -74,16 +70,10 @@ val create : ?config:config -> Schema.t -> t
 val store : t -> Object_store.t
 val event_base : t -> Event_base.t
 
-val memo : t -> Memo.t
-(** The engine-owned shared evaluation cache: one interned node graph for
-    every rule; entries are keyed by window, so considerations invalidate
-    nothing, and {!commit} restarts it in place (graph preserved). *)
-
 val rules : t -> Rule_table.t
 
 val statistics : t -> stats
-(** Engine counters; the memo fields are synced from the shared cache on
-    each call. *)
+(** Engine counters. *)
 
 val tx_start : t -> Time.t
 
@@ -162,7 +152,7 @@ val abort : t -> unit
 (** Rolls the current transaction back to its start: the store (via the
     undo log), the event base (truncation — clock and identifier
     generators rewind with it), the trigger state, the timers (countdowns
-    restored, mid-transaction definitions dropped) and the shared memo.
+    restored, mid-transaction definitions dropped).
     Observationally equivalent to the transaction never having run; a
     durable abort marker is journaled when a journal is attached.  The
     engine is immediately usable for the next transaction. *)

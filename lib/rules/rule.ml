@@ -7,10 +7,6 @@ open Chimera_event
 open Chimera_calculus
 open Chimera_optimizer
 
-(* Windows move only at consideration/reset; the engine's shared memo
-   keys its cache by the window lower bound, so moving a window needs no
-   invalidation here. *)
-
 type coupling = Immediate | Deferred
 type consumption = Consuming | Preserving
 
@@ -37,9 +33,6 @@ type t = {
   mutable last_recomputation : Time.t;
       (** endpoint detection: when ts was last recomputed *)
   mutable last_sign_positive : bool;
-  mutable memo_handle : (Memo.t * Memo.handle) option;
-      (** the rule's event expression interned into the engine's shared
-          memo; handles survive restarts, so this is set once per memo *)
   mutable wake_pending : bool;
       (** already enqueued in the dirty-rule set of the indexed wake
           (see {!Trigger_support.Wake}); dedups marking in O(1) *)
@@ -88,7 +81,6 @@ let make ~seqno ~tx_start spec =
           scan_from = tx_start;
           last_recomputation = Time.origin;
           last_sign_positive = false;
-          memo_handle = None;
           wake_pending = false;
         }
 

@@ -33,10 +33,6 @@ type t = {
   mutable last_recomputation : Time.t;
       (** endpoint detection: when ts was last recomputed *)
   mutable last_sign_positive : bool;
-  mutable memo_handle : (Memo.t * Memo.handle) option;
-      (** the rule's event expression interned into the engine's shared
-          memo (see {!Trigger_support}); handles survive restarts, so
-          this is set once per memo *)
   mutable wake_pending : bool;
       (** already enqueued in the dirty-rule set of the indexed wake
           (see {!Trigger_support.Wake}); dedups marking in O(1) *)

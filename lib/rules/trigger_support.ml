@@ -71,13 +71,6 @@ let reset_stats s =
 type config = {
   detection : detection;
   optimizer : bool;  (** consult V(E) before recomputing ts *)
-  style : Ts.style;
-  memoize : bool;
-      (** evaluate through the engine's shared memo over interned
-          expressions (sound: the cache keys carry the window's lower
-          bound, so moving windows invalidate nothing).  The memoized
-          path uses the logical style; both styles agree on every
-          expression and instant (property-tested). *)
   wake : wake_mode;
       (** [Sweep] visits every rule after every block (the legacy path);
           [Indexed] drains only the rules subscribed to a type that
@@ -85,14 +78,7 @@ type config = {
           behaviour-preserving (differential-tested against [Sweep]). *)
 }
 
-let default_config =
-  {
-    detection = Exact;
-    optimizer = true;
-    style = Ts.Logical;
-    memoize = true;
-    wake = Indexed;
-  }
+let default_config = { detection = Exact; optimizer = true; wake = Indexed }
 
 (* ------------------------------------------------------ indexed wake *)
 
@@ -172,24 +158,10 @@ module Wake = struct
     List.rev d
 end
 
-(* The rule's event expression interned into [memo] — once per memo;
-   handles survive restarts. *)
-let rule_handle memo rule =
-  match rule.Rule.memo_handle with
-  | Some (m, h) when m == memo -> h
-  | _ ->
-      let h = Memo.intern memo rule.Rule.spec.event in
-      rule.Rule.memo_handle <- Some (memo, h);
-      h
-
-(* One activation probe for [rule], through the shared memo when enabled. *)
-let rule_active config memo ~window ~at rule =
-  if config.memoize then
-    Memo.active_handle memo ~after:(Window.after window) ~at
-      (rule_handle memo rule)
-  else
-    let env = Ts.env ~style:config.style (Memo.event_base memo) ~window in
-    Ts.active env ~at rule.Rule.spec.event
+(* One activation probe for [rule]: the plain Section-4 evaluator,
+   recomputed from the event-base indexes. *)
+let rule_active eb ~window ~at rule =
+  Ts.active (Ts.env eb ~window) ~at rule.Rule.spec.event
 
 (* Is there, among the occurrences in (from, upto], one whose type is
    relevant to the rule under the configured detection mode? *)
@@ -217,9 +189,8 @@ let trigger stats rule =
 
 (* Check one rule after a block; [now] is a probe instant after every
    recorded occurrence. *)
-let check_rule config stats memo rule =
+let check_rule config stats eb rule =
   if not rule.Rule.triggered then begin
-    let eb = Memo.event_base memo in
     stats.checks <- stats.checks + 1;
     let after = Rule.trigger_window_start rule in
     let now = Event_base.probe_now eb in
@@ -244,7 +215,7 @@ let check_rule config stats memo rule =
             else begin
               stats.recomputations <- stats.recomputations + 1;
               stats.probes <- stats.probes + 1;
-              let positive = rule_active config memo ~window ~at:now rule in
+              let positive = rule_active eb ~window ~at:now rule in
               rule.Rule.last_recomputation <- now;
               rule.Rule.last_sign_positive <- positive;
               if positive then trigger stats rule
@@ -285,7 +256,7 @@ let check_rule config stats memo rule =
                     List.exists
                       (fun at ->
                         stats.probes <- stats.probes + 1;
-                        rule_active config memo ~window ~at rule)
+                        rule_active eb ~window ~at rule)
                       candidates
                   in
                   rule.Rule.scan_from <- now;
@@ -319,7 +290,7 @@ let check_rule config stats memo rule =
                 List.exists
                   (fun at ->
                     stats.probes <- stats.probes + 1;
-                    rule_active config memo ~window ~at rule)
+                    rule_active eb ~window ~at rule)
                   candidates
               in
               rule.Rule.scan_from <- now;
@@ -333,17 +304,17 @@ let check_rule config stats memo rule =
 (* One post-block wake: the sweep visits every rule; the indexed wake
    drains the dirty set — rules untouched by the block's events are never
    visited, and show up in [idle] instead. *)
-let run_checks config stats memo wake table =
+let run_checks config stats eb wake table =
   match config.wake with
-  | Sweep -> Rule_table.iter (check_rule config stats memo) table
+  | Sweep -> Rule_table.iter (check_rule config stats eb) table
   | Indexed ->
       let woken = Wake.drain wake in
       let n = List.length woken in
       stats.woken <- stats.woken + n;
       stats.idle <- stats.idle + max 0 (Rule_table.cardinal table - n);
-      List.iter (check_rule config stats memo) woken
+      List.iter (check_rule config stats eb) woken
 
-let check_all config stats memo wake table =
+let check_all config stats eb wake table =
   if Obs.enabled () then begin
     let checks0 = stats.checks
     and recomputations0 = stats.recomputations
@@ -364,9 +335,9 @@ let check_all config stats memo wake table =
         Obs.Metrics.add c_fired (stats.fired - fired0);
         Obs.Metrics.add c_woken (stats.woken - woken0);
         Obs.Metrics.add c_idle (stats.idle - idle0))
-      (fun () -> run_checks config stats memo wake table)
+      (fun () -> run_checks config stats eb wake table)
   end
-  else run_checks config stats memo wake table
+  else run_checks config stats eb wake table
 
 (* ------------------------------------------------- snapshot / restore *)
 

@@ -4,7 +4,6 @@
     sign. *)
 
 open Chimera_event
-open Chimera_calculus
 
 type detection =
   | Exact
@@ -39,19 +38,15 @@ val reset_stats : stats -> unit
 type config = {
   detection : detection;
   optimizer : bool;  (** consult V(E) before recomputing ts *)
-  style : Ts.style;
-  memoize : bool;
-      (** evaluate ts through the shared memo over interned expressions
-          (see {!Chimera_calculus.Memo}); behaviour-preserving — cache
-          keys carry the window's lower bound, so moving windows
-          invalidate nothing.  The memoized path evaluates in the logical
-          style (both styles agree, property-tested). *)
   wake : wake_mode;
 }
+(** Every probe evaluates ts in the logical style through a plain
+    {!Chimera_calculus.Ts.env}, recomputed from the event-base indexes;
+    the algebraic style agrees on every expression and instant
+    (property-tested). *)
 
 val default_config : config
-(** Exact detection, optimizer on, logical style, memoized evaluation,
-    indexed wake. *)
+(** Exact detection, optimizer on, indexed wake. *)
 
 (** The reverse V(E) index over rules: each rule subscribes to the
     positive-variation types of its V(E) (or to every arrival when type
@@ -82,15 +77,15 @@ module Wake : sig
       dirty — the abort/recovery path. *)
 end
 
-val check_rule : config -> stats -> Memo.t -> Rule.t -> unit
+val check_rule : config -> stats -> Event_base.t -> Rule.t -> unit
 (** Checks one non-triggered rule at the current instant over its
     triggering window (events since its last consideration); sets its
     triggered flag when its event expression activated.  The R <> 0 gate
-    keeps negation rules reactive rather than active.  [memo] is the
-    shared evaluation cache bound to the engine's event base; it carries
-    the event base even when [memoize] is off. *)
+    keeps negation rules reactive rather than active.  The event base is
+    the engine's current one. *)
 
-val check_all : config -> stats -> Memo.t -> Wake.t -> Rule_table.t -> unit
+val check_all :
+  config -> stats -> Event_base.t -> Wake.t -> Rule_table.t -> unit
 (** One post-block wake: sweeps the table or drains the dirty set,
     according to [config.wake]. *)
 

@@ -506,11 +506,9 @@ module Manager = struct
       (Printf.sprintf
          "session %d shard %d/%d%s\n\
           engine: %d line(s), %d event(s), %d consideration(s), %d \
-          execution(s), %d abort(s)\n\
-          memo: %d hit(s), %d miss(es), %d node(s)"
+          execution(s), %d abort(s)"
          sid shard_idx t.engines note st.Engine.lines st.Engine.events
-         st.Engine.considerations st.Engine.executions st.Engine.aborts
-         st.Engine.memo_hits st.Engine.memo_misses st.Engine.memo_nodes);
+         st.Engine.considerations st.Engine.executions st.Engine.aborts);
     (match shard.journal with
     | None -> ()
     | Some j ->

@@ -4,7 +4,7 @@
    expressions and the same event stream through four independent
    detection engines —
 
-     memo        the engine's default path (shared memoized ts)
+     ts          the engine's evaluator (plain Section-4 ts)
      naive       full recompute after every event
      tree        Snoop-style incremental operator tree
      automaton   Ode-style lazy DFA
@@ -14,11 +14,18 @@
    profile (negation- and instance-free), the fragment all four support.
 
    The harness runs with obs enabled and afterwards asserts from the
-   metrics registry that the memoized path actually hit its cache: a
-   differential test that silently stopped exercising the memo would
-   otherwise keep passing. *)
+   metrics registry that every engine actually ran: a differential test
+   that silently stopped exercising one of them would otherwise keep
+   passing. *)
 
 open Core
+
+(* ts of [e] at [at] over the window (after, at] — the value the engine's
+   Trigger Support computes for a rule whose window starts at [after]. *)
+let ts_over eb ~after ~at e =
+  Ts.ts (Ts.env eb ~window:(Window.make ~after ~upto:at)) ~at e
+
+let active_over eb ~after ~at e = ts_over eb ~after ~at e > 0
 
 let scenarios = 120
 
@@ -35,10 +42,8 @@ let run_scenario ~seed =
   in
   let objects = 1 + (seed mod 4) in
   let stream = Expr_gen.stream prng ~alphabet ~objects ~length:40 in
-  (* The memoized engine path: one shared memo, handles interned once. *)
+  (* The engine's evaluation path: plain ts over the growing log. *)
   let eb = Event_base.create () in
-  let memo = Memo.create eb in
-  let handles = List.map (Memo.intern memo) exprs in
   let naive = Naive.create exprs in
   let trees = List.map Tree_detector.create exprs in
   let automata = List.map Automaton.create exprs in
@@ -55,26 +60,23 @@ let run_scenario ~seed =
       List.iter (fun a -> Automaton.on_event a ~etype) automata;
       let at = Event_base.probe_now eb in
       List.iteri
-        (fun i (expr, (handle, (tree, automaton))) ->
-          let memo_verdict =
-            Memo.active_handle memo ~after:Time.origin ~at handle
-          in
+        (fun i (expr, (tree, automaton)) ->
+          let ts_verdict = active_over eb ~after:Time.origin ~at expr in
           let naive_verdict = Naive.active naive i in
           let tree_verdict = Tree_detector.active tree in
           let automaton_verdict = Automaton.active automaton in
           incr comparisons;
           if
             not
-              (memo_verdict = naive_verdict
-              && memo_verdict = tree_verdict
-              && memo_verdict = automaton_verdict)
+              (ts_verdict = naive_verdict
+              && ts_verdict = tree_verdict
+              && ts_verdict = automaton_verdict)
           then
             Alcotest.failf
-              "seed %d step %d expr %s: memo=%b naive=%b tree=%b automaton=%b"
-              seed step (Expr.to_string expr) memo_verdict naive_verdict
+              "seed %d step %d expr %s: ts=%b naive=%b tree=%b automaton=%b"
+              seed step (Expr.to_string expr) ts_verdict naive_verdict
               tree_verdict automaton_verdict)
-        (List.combine exprs
-           (List.combine handles (List.combine trees automata))))
+        (List.combine exprs (List.combine trees automata)))
     stream;
   !comparisons
 
@@ -92,17 +94,17 @@ let test_verdicts_agree () =
     (Printf.sprintf "substantial comparison volume (%d)" !total)
     true
     (!total >= scenarios * 40);
-  (* The memoized path really went through its cache: the registry's
-     aggregate hit counter moved during the run. *)
+  (* The evaluator really ran: the registry's ts evaluation counter moved
+     during the run. *)
   let snap = Obs.snapshot () in
-  let hits =
-    match List.assoc_opt "memo.hits" snap.Obs.counters with
+  let evals =
+    match List.assoc_opt "ts.evals" snap.Obs.counters with
     | Some n -> n
-    | None -> Alcotest.fail "memo.hits counter not registered"
+    | None -> Alcotest.fail "ts.evals counter not registered"
   in
   Alcotest.(check bool)
-    (Printf.sprintf "memo hit count > 0 (got %d)" hits)
-    true (hits > 0);
+    (Printf.sprintf "ts eval count > 0 (got %d)" evals)
+    true (evals > 0);
   (* ... and the baselines really ran too. *)
   List.iter
     (fun name ->
@@ -118,8 +120,8 @@ let test_verdicts_agree () =
 
 (* The same engines under consumption: restarting every engine at a
    mid-stream instant (fresh window lower bound vs detector reset) keeps
-   the verdicts aligned — the memoized path with a moved [after] bound
-   against baselines reset and replayed from that point. *)
+   the verdicts aligned — ts with a moved [after] bound against baselines
+   reset and replayed from that point. *)
 let test_verdicts_agree_after_restart () =
   let failures = ref 0 in
   for i = 0 to 39 do
@@ -132,8 +134,6 @@ let test_verdicts_agree_after_restart () =
     let stream = Expr_gen.stream prng ~alphabet ~objects:2 ~length:30 in
     let cut = 10 + (seed mod 10) in
     let eb = Event_base.create () in
-    let memo = Memo.create eb in
-    let handle = Memo.intern memo expr in
     (* Feed the prefix, then restart detection at the cut instant. *)
     List.iteri
       (fun step (etype, oid) ->
@@ -150,16 +150,16 @@ let test_verdicts_agree_after_restart () =
             ~timestamp:(Occurrence.timestamp occ);
           Automaton.on_event automaton ~etype;
           let at = Event_base.probe_now eb in
-          let memo_verdict = Memo.active_handle memo ~after ~at handle in
+          let ts_verdict = active_over eb ~after ~at expr in
           if
             not
-              (memo_verdict = Tree_detector.active tree
-              && memo_verdict = Automaton.active automaton)
+              (ts_verdict = Tree_detector.active tree
+              && ts_verdict = Automaton.active automaton)
           then begin
             incr failures;
             Alcotest.failf
-              "seed %d step %d expr %s: memo=%b tree=%b automaton=%b" seed
-              step (Expr.to_string expr) memo_verdict
+              "seed %d step %d expr %s: ts=%b tree=%b automaton=%b" seed
+              step (Expr.to_string expr) ts_verdict
               (Tree_detector.active tree)
               (Automaton.active automaton)
           end
@@ -280,14 +280,14 @@ let run_wake_scenario ~seed ~commit_at =
            indexed cons=%d exec=%d events=%d fired=%d"
           seed step c x v f c' x' v' f')
     history;
-  (* ts agreement: both logs are identical, and both memo caches — fed
-     through entirely different probe schedules — must agree on every
-     rule's activation timestamp at the end. *)
+  (* ts agreement: the two engines' logs — each driven through a
+     different probe schedule — must give every rule expression the same
+     activation timestamp at the end. *)
   let at = Event_base.probe_now (Engine.event_base sweep) in
   List.iter
     (fun e ->
-      let a = Memo.ts (Engine.memo sweep) ~after:Time.origin ~at e in
-      let b = Memo.ts (Engine.memo indexed) ~after:Time.origin ~at e in
+      let a = ts_over (Engine.event_base sweep) ~after:Time.origin ~at e in
+      let b = ts_over (Engine.event_base indexed) ~after:Time.origin ~at e in
       if a <> b then
         Alcotest.failf "seed %d expr %s: ts sweep=%d indexed=%d" seed
           (Expr.to_string e) a b)
@@ -494,8 +494,8 @@ let run_window_scenario ~seed ~commit_at ~abort_at =
         | None, None -> tx_start
         | _ -> Alcotest.failf "seed %d rule %s: window starts diverged" seed name
       in
-      let a = Memo.ts (Engine.memo plain) ~after ~at e in
-      let b = Memo.ts (Engine.memo windowed) ~after ~at e in
+      let a = ts_over (Engine.event_base plain) ~after ~at e in
+      let b = ts_over (Engine.event_base windowed) ~after ~at e in
       if a <> b then
         Alcotest.failf "seed %d expr %s: ts plain=%d windowed=%d" seed
           (Expr.to_string e) a b)

@@ -101,7 +101,7 @@ let test_absent_blocks_binding () =
         ];
     ]
   in
-  match Condition.eval store (Condition.Recompute env) ~at condition with
+  match Condition.eval store env ~at condition with
   | Ok envs ->
       let bound =
         List.filter_map (fun e -> Condition.lookup e "E") envs
@@ -126,7 +126,7 @@ let test_absent_is_local () =
   let condition =
     [ Condition.Absent [ Condition.Range { var = "X"; class_name = "thing" } ] ]
   in
-  match Condition.eval store (Condition.Recompute env) ~at condition with
+  match Condition.eval store env ~at condition with
   | Ok [ only ] ->
       Alcotest.(check (option string)) "X not bound outside" None
         (Option.map Value.to_string (Condition.lookup only "X"))

@@ -245,8 +245,7 @@ let suite =
   ]
 
 (* Causality: ts at an instant never depends on later occurrences — the
-   property that makes memoization (and the incremental exact scan)
-   sound. *)
+   property that makes the incremental exact scan sound. *)
 let ts_is_causal =
   Gen.qcheck ~count:300 "ts is causal (future events are invisible)"
     (QCheck.make

@@ -75,13 +75,11 @@ let arb_workload =
         (list_size (int_range 1 5) (Gen.gen_set_expr Gen.Full))
         (list_size (int_range 0 25) (pair (int_range 0 2) (int_range 0 7))))
 
-let run_config ?(memoize = false) ?(wake = Trigger_support.Indexed) detection
-    optimizer (es, h) =
+let run_config ?(wake = Trigger_support.Indexed) detection optimizer (es, h) =
   let config =
     {
       Engine.default_config with
-      Engine.trigger =
-        { Trigger_support.detection; optimizer; style = Ts.Logical; memoize; wake };
+      Engine.trigger = { Trigger_support.detection; optimizer; wake };
     }
   in
   let engine = Engine.create ~config (Domain.schema ()) in
@@ -133,7 +131,7 @@ let test_exact_catches_transient () =
       {
         Engine.default_config with
         Engine.trigger =
-          { Trigger_support.default_config with detection; memoize = false };
+          { Trigger_support.default_config with detection };
       }
     in
     let engine = Engine.create ~config (Domain.schema ()) in
@@ -179,19 +177,6 @@ let exact_equals_endpoint_on_regular =
       let endpoint = run_config Trigger_support.Endpoint true w in
       let a = Engine.statistics exact and b = Engine.statistics endpoint in
       a.Engine.considerations = b.Engine.considerations)
-
-(* Memoized evaluation is behaviour-preserving: same considerations and
-   firings with the per-rule memo tables on and off. *)
-let memoize_transparent =
-  Gen.qcheck ~count:150 "memoized detection never changes rule behaviour"
-    arb_workload
-    (fun w ->
-      let memoized = run_config ~memoize:true Trigger_support.Exact true w in
-      let plain = run_config ~memoize:false Trigger_support.Exact true w in
-      let a = Engine.statistics memoized and b = Engine.statistics plain in
-      a.Engine.considerations = b.Engine.considerations
-      && a.Engine.trigger_stats.Trigger_support.fired
-         = b.Engine.trigger_stats.Trigger_support.fired)
 
 (* Preserving rules see the whole transaction again; consuming rules only
    what followed their last consideration. *)
@@ -249,7 +234,6 @@ let suite =
   [
     optimizer_transparent;
     optimizer_saves_work;
-    memoize_transparent;
     Alcotest.test_case "exact catches transient activations" `Quick
       test_exact_catches_transient;
     exact_equals_endpoint_on_regular;
@@ -376,7 +360,7 @@ let condition_order_independent =
       let at = Event_base.probe_now eb in
       let env = Ts.env eb ~window:(Window.all ~upto:at) in
       let eval atoms =
-        match Condition.eval (Engine.store engine) (Condition.Recompute env) ~at atoms with
+        match Condition.eval (Engine.store engine) env ~at atoms with
         | Ok envs ->
             List.sort compare
               (List.filter_map
