@@ -729,7 +729,13 @@ let serve_cmd =
       value
       & opt int Server.default_config.Server.max_conns
       & info [ "max-conns" ] ~docv:"N"
-          ~doc:"Connection admission cap; further accepts get $(b,ERR busy).")
+          ~doc:
+            "Connection admission cap; further accepts get $(b,ERR busy). \
+             The reactor watches sockets with select(2), which takes \
+             descriptors below FD_SETSIZE (1024 on Linux) only, and \
+             journals, the worker waker and replication links use \
+             descriptors too: an accepted socket beyond that limit gets \
+             $(b,ERR busy) as well, whatever $(docv).")
   in
   let max_frame =
     Arg.(

@@ -569,33 +569,19 @@ type decoded =
    int (63-bit), so the decode itself cannot overflow; the cap check
    then classifies anything oversized — including a prefix with the high
    bit set, which a signed 32-bit reader would see as negative — as
-   [Corrupt], never as an exception.
-
-   [decode_view] is the zero-copy variant: it reports the payload as an
-   (offset, length) window into the caller's buffer instead of
-   materialising a string, so the hot binary path copies payload bytes
-   exactly once (when shipping them to a worker domain) instead of
-   twice.  The view is only valid until the caller next mutates or
-   compacts the buffer — copy before then. *)
-let decode_view ~max_frame bytes ~off ~len =
+   [Corrupt], never as an exception.  The payload is copied out exactly
+   once, so the caller may compact its buffer right after. *)
+let decode ~max_frame bytes ~off ~len =
   if off < 0 || len < 0 || off + len > Bytes.length bytes then
-    `Corrupt "decode range outside the buffer"
-  else if len < header_bytes then `Need_more
+    Corrupt "decode range outside the buffer"
+  else if len < header_bytes then Need_more
   else
     let b i = Char.code (Bytes.get bytes (off + i)) in
     let n = (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3 in
-    if n = 0 then `Reject ("zero-length frame", header_bytes)
+    if n = 0 then Reject ("zero-length frame", header_bytes)
     else if n > max_frame then
-      `Corrupt
+      Corrupt
         (Printf.sprintf "length prefix %d exceeds the %d-byte frame cap" n
            max_frame)
-    else if len < header_bytes + n then `Need_more
-    else `Frame (off + header_bytes, n, header_bytes + n)
-
-let decode ~max_frame bytes ~off ~len =
-  match decode_view ~max_frame bytes ~off ~len with
-  | `Frame (payload_off, payload_len, consumed) ->
-      Frame (Bytes.sub_string bytes payload_off payload_len, consumed)
-  | `Need_more -> Need_more
-  | `Reject (reason, skip) -> Reject (reason, skip)
-  | `Corrupt reason -> Corrupt reason
+    else if len < header_bytes + n then Need_more
+    else Frame (Bytes.sub_string bytes (off + header_bytes) n, header_bytes + n)

@@ -236,18 +236,3 @@ type decoded =
 val decode : max_frame:int -> Bytes.t -> off:int -> len:int -> decoded
 (** Decodes the first frame of [len] bytes at [off]; never raises (an
     [off]/[len] range outside the buffer is itself [Corrupt]). *)
-
-val decode_view :
-  max_frame:int ->
-  Bytes.t ->
-  off:int ->
-  len:int ->
-  [ `Frame of int * int * int
-  | `Need_more
-  | `Reject of string * int
-  | `Corrupt of string ]
-(** Zero-copy variant of {!decode}: [`Frame (payload_off, payload_len,
-    consumed)] is a window into the caller's buffer — no string is
-    materialised.  The window aliases the buffer: it is only valid until
-    the buffer is next mutated or compacted; copy the bytes out before
-    then.  {!decode} is implemented on top of this. *)

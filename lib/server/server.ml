@@ -8,8 +8,9 @@
    only place the process sleeps is inside [Unix.select] itself.
 
    Flow control is read-side: a connection is excluded from the read set
-   while its reply buffer is above the high-water mark (slow reader) or
-   while its session queues behind a busy engine shard (admission).  The
+   while its reply buffer (replies held behind a gated commit included)
+   is above the high-water mark (slow reader) or while its session
+   queues behind a busy engine shard or a full window (admission).  The
    kernel socket buffers then push the backpressure to the client. *)
 
 open Chimera_event
@@ -135,11 +136,13 @@ type conn = {
   gaps : (int, int * bool) Hashtbl.t;
       (** per subscription, (shed count, binary): the [NOTIFY_GAP] owed
           before the subscription's next delivered notify *)
+  held : ((int * int) option * string) Queue.t;
+      (** reply payloads in arrival order, held from a COMMIT reply the
+          replication gate parked onward; a [(shard, seq)] gate must be
+          acked by every follower before its reply — and everything
+          behind it — goes out *)
+  mutable held_bytes : int;  (** total payload bytes across [held] *)
 }
-
-(* A COMMIT reply withheld until every follower acknowledges its commit
-   sequence. *)
-type parked = { p_sid : int; p_seq : int; p_reply : Protocol.reply }
 
 (* The follower's outbound link to its primary: a tiny client-side state
    machine driven from the same select loop. *)
@@ -183,7 +186,6 @@ type t = {
       (** per-shard ["repl.ack_floor.shard<i>"]: the lowest commit
           sequence every attached follower has durably acked, [-1] while
           no follower gates anything *)
-  parked : parked Queue.t array;  (** per shard, FIFO by commit sequence *)
   mutable follower : follower option;  (** standby mode until promotion *)
   mutable promote_requested : bool;  (** set from signal context *)
   mutable takeover_fd : Unix.file_descr option;
@@ -296,7 +298,6 @@ let create config =
                 Array.init config.engines (fun i ->
                     Obs.Metrics.gauge
                       (Printf.sprintf "repl.ack_floor.shard%d" i));
-              parked = Array.init config.engines (fun _ -> Queue.create ());
               follower;
               promote_requested = false;
               takeover_fd = None;
@@ -338,9 +339,6 @@ let enqueue_payload t conn payload =
        with
       | Ok () -> Obs.Metrics.incr c_frames_out
       | Error _ -> ())
-
-let enqueue_reply t conn reply =
-  enqueue_payload t conn (Protocol.reply_to_payload reply)
 
 (* ------------------------------------------------- subscription pushes *)
 
@@ -420,9 +418,20 @@ let on_notify t ~sid ~sub ~binary ~at ~bindings =
    must not overtake the notifies of commits that preceded it.  The
    flush is forced — a client awaiting a reply is actively reading, and
    the backlog is bounded by [notify_queue]. *)
-let enqueue_reply t conn reply =
+let send_reply_payload t conn payload =
   drain_notifies t conn ~force:true;
-  enqueue_reply t conn reply
+  enqueue_payload t conn payload
+
+let hold conn gate payload =
+  Queue.add (gate, payload) conn.held;
+  conn.held_bytes <- conn.held_bytes + String.length payload
+
+(* Replies leave in arrival order: while the gate holds a commit reply,
+   every later reply of the connection waits behind it. *)
+let enqueue_reply t conn reply =
+  let payload = Protocol.reply_to_payload reply in
+  if Queue.is_empty conn.held then send_reply_payload t conn payload
+  else hold conn None payload
 
 (* -------------------------------------- replication gate (primary side) *)
 
@@ -461,55 +470,47 @@ let update_gc_floors t =
     update_gc_floor t shard
   done
 
-(* Releases parked COMMIT replies whose sequence every follower now
-   covers — also when the last follower detached (no followers, no
-   gate). *)
-let release_parked t shard =
-  let q = t.parked.(shard) in
-  let floor = min_acked t shard in
+(* Sends a connection's held replies from the head up to the first
+   commit reply some follower has not acked yet — all of them when
+   [force] (drain forgoes the gate: replication continues best-effort,
+   but a parked reply must not hold the shutdown hostage), or when the
+   last follower detached (no followers, no gate). *)
+let release_held t ~force conn =
+  let unacked (shard, seq) =
+    match min_acked t shard with Some m -> seq > m | None -> false
+  in
   let rec go () =
-    match Queue.peek_opt q with
-    | Some p when (match floor with None -> true | Some m -> p.p_seq <= m) ->
-        ignore (Queue.pop q);
-        (match Hashtbl.find_opt t.conns p.p_sid with
-        | Some conn when not conn.dead -> enqueue_reply t conn p.p_reply
-        | Some _ | None -> ());
+    match Queue.peek_opt conn.held with
+    | Some (Some gate, _) when (not force) && unacked gate -> ()
+    | Some (_, payload) ->
+        ignore (Queue.pop conn.held);
+        conn.held_bytes <- conn.held_bytes - String.length payload;
+        send_reply_payload t conn payload;
         go ()
-    | Some _ | None -> ()
+    | None -> ()
   in
   go ()
 
+let release_all_held t ~force =
+  Hashtbl.iter
+    (fun _ conn ->
+      if not (Queue.is_empty conn.held) then release_held t ~force conn)
+    t.conns
+
 (* A commit completed: record the shard's new sequence, then either send
    the reply or — under semi-synchronous replication with followers
-   attached — park it until they acknowledge.  Per shard commits are
-   sequential, so the parked queue is FIFO in sequence order. *)
+   attached — hold it until they acknowledge. *)
 let park_or_send t ~sid ~shard ~seq reply =
   t.shard_seq.(shard) <- max t.shard_seq.(shard) seq;
-  let gated =
-    t.config.repl_sync && (not t.draining) && repl_peer_count t > 0
-  in
-  if gated then begin
-    Obs.Metrics.incr c_repl_parked;
-    Queue.add { p_sid = sid; p_seq = seq; p_reply = reply } t.parked.(shard)
-  end
-  else
-    match Hashtbl.find_opt t.conns sid with
-    | Some conn when not conn.dead -> enqueue_reply t conn reply
-    | Some _ | None -> ()
-
-(* Drain forgoes the gate: replication continues best-effort, but a
-   parked reply must not hold the shutdown hostage. *)
-let flush_parked t =
-  Array.iter
-    (fun q ->
-      Queue.iter
-        (fun p ->
-          match Hashtbl.find_opt t.conns p.p_sid with
-          | Some conn when not conn.dead -> enqueue_reply t conn p.p_reply
-          | Some _ | None -> ())
-        q;
-      Queue.clear q)
-    t.parked
+  match Hashtbl.find_opt t.conns sid with
+  | Some conn when not conn.dead ->
+      if t.config.repl_sync && (not t.draining) && repl_peer_count t > 0
+      then begin
+        Obs.Metrics.incr c_repl_parked;
+        hold conn (Some (shard, seq)) (Protocol.reply_to_payload reply)
+      end
+      else enqueue_reply t conn reply
+  | Some _ | None -> ()
 
 (* ------------------------------------------------------------ dispatch *)
 
@@ -543,10 +544,10 @@ let close_conn t conn =
         Array.iter Journal.Tail.close peer.tails;
         Obs.Metrics.set_gauge g_repl_peers (repl_peer_count t);
         (* The gate floor rose (or the gate vanished): re-evaluate every
-           shard's parked commits, and unpin sealed segments the
-           departed follower was holding back from GC. *)
+           held commit reply, and unpin sealed segments the departed
+           follower was holding back from GC. *)
         update_gc_floors t;
-        Array.iteri (fun shard _ -> release_parked t shard) t.parked);
+        release_all_held t ~force:false);
     (try Unix.close conn.fd with Unix.Unix_error _ -> ());
     (* Closing may free an engine shard: route the woken waiters'
        replies to their own connections. *)
@@ -596,8 +597,10 @@ let try_flush t conn =
     in
     write_chunks ()
   end;
-  if (not conn.dead) && conn.close_after_flush && pending_out conn = 0 then
-    close_conn t conn
+  if
+    (not conn.dead) && conn.close_after_flush && pending_out conn = 0
+    && Queue.is_empty conn.held
+  then close_conn t conn
 
 (* ------------------------------------- replication stream (primary side) *)
 
@@ -667,7 +670,7 @@ let handle_repl_ack t conn ~shard ~seq =
         peer.acked.(shard) <- max peer.acked.(shard) seq;
         Obs.Metrics.incr c_repl_acks;
         update_gc_floor t shard;
-        release_parked t shard
+        release_all_held t ~force:false
       end
 
 (* Ships the checkpoint beside [path] as the base of a fresh segment
@@ -846,22 +849,15 @@ let rec drain_frames t conn =
   then ()
   else
     match
-      Protocol.decode_view ~max_frame:t.config.max_frame conn.inbuf ~off:0
+      Protocol.decode ~max_frame:t.config.max_frame conn.inbuf ~off:0
         ~len:conn.in_len
     with
-    | `Need_more -> ()
-    | `Frame (payload_off, payload_len, used) ->
-        (* One classifying byte decides the path before any copy; the
-           payload is then materialised exactly once, off the view,
-           before [consume] compacts the buffer under it. *)
-        let binary =
-          payload_len > 0 && Bytes.get conn.inbuf payload_off < '\x20'
-        in
-        let payload = Bytes.sub_string conn.inbuf payload_off payload_len in
+    | Protocol.Need_more -> ()
+    | Protocol.Frame (payload, used) ->
         consume conn used;
         Obs.Metrics.incr c_frames_in;
         let t0 = Obs.start_timer () in
-        if binary then
+        if Protocol.is_binary_payload payload then
           dispatch_events t (Session.Manager.on_binary t.mgr conn.sid payload)
           (* Replication and admin verbs are reactor state, not session
              commands: they never reach the session manager. *)
@@ -871,12 +867,12 @@ let rec drain_frames t conn =
           dispatch_events t (Session.Manager.on_payload t.mgr conn.sid payload);
         Obs.observe_since h_frame t0;
         drain_frames t conn
-    | `Reject (reason, skip) ->
+    | Protocol.Reject (reason, skip) ->
         (* Framing survived (e.g. a zero-length frame): answer and go on. *)
         consume conn skip;
         enqueue_reply t conn (Protocol.Err ("proto", reason));
         drain_frames t conn
-    | `Corrupt reason ->
+    | Protocol.Corrupt reason ->
         (* Framing lost: nothing later in the stream can be trusted. *)
         conn.in_len <- 0;
         enqueue_reply t conn (Protocol.Err ("oversize", reason));
@@ -899,18 +895,27 @@ let handle_readable t conn =
 
 (* ------------------------------------------------------------- accept *)
 
-let reject_conn t fd =
+let reject_conn t fd reason =
   Obs.Metrics.incr c_rejects;
   let frame =
     Protocol.frame_exn ~max_frame:t.config.max_frame
-      (Protocol.reply_to_payload
-         (Protocol.Err ("busy", "server at max connections")))
+      (Protocol.reply_to_payload (Protocol.Err ("busy", reason)))
   in
   (try
      Unix.set_nonblock fd;
      ignore (Unix.write_substring fd frame 0 (String.length frame))
    with Unix.Unix_error _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
+
+(* select(2) watches only descriptors below FD_SETSIZE, and [Unix.select]
+   raises EINVAL on any other — out of {!poll}, stopping the server.
+   Probing the new descriptor alone, with a zero timeout, tells exactly
+   whether the reactor can watch it. *)
+let selectable fd =
+  match Unix.select [ fd ] [] [] 0. with
+  | _ -> true
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> true
+  | exception Unix.Unix_error _ -> false
 
 let rec accept_loop t listen_fd =
   match Unix.accept listen_fd with
@@ -919,7 +924,10 @@ let rec accept_loop t listen_fd =
       ()
   | exception Unix.Unix_error _ -> ()
   | fd, _addr ->
-      if Hashtbl.length t.conns >= t.config.max_conns then reject_conn t fd
+      if Hashtbl.length t.conns >= t.config.max_conns then
+        reject_conn t fd "server at max connections"
+      else if not (selectable fd) then
+        reject_conn t fd "server out of selectable descriptors"
       else begin
         Unix.set_nonblock fd;
         (try Unix.setsockopt fd Unix.TCP_NODELAY true
@@ -942,6 +950,8 @@ let rec accept_loop t listen_fd =
             notifyq = Queue.create ();
             notifyq_len = 0;
             gaps = Hashtbl.create 4;
+            held = Queue.create ();
+            held_bytes = 0;
           };
         Obs.Metrics.incr c_accepts;
         Obs.Metrics.set_gauge g_active (Hashtbl.length t.conns)
@@ -1004,6 +1014,10 @@ let follower_start_connect t f =
       match Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 with
       | exception Unix.Unix_error (e, _, _) ->
           Log.warn (fun m -> m "follow: socket: %s" (Unix.error_message e));
+          back ()
+      | fd when not (selectable fd) ->
+          (try Unix.close fd with Unix.Unix_error _ -> ());
+          Log.warn (fun m -> m "follow: no descriptor select can watch");
           back ()
       | fd -> (
           Unix.set_nonblock fd;
@@ -1209,7 +1223,7 @@ let begin_drain t =
       close_follower_link f;
       t.follower <- None
   | None -> ());
-  flush_parked t;
+  release_all_held t ~force:true;
   Hashtbl.iter
     (fun _sid conn -> if not conn.dead then drain_frames t conn)
     (Hashtbl.copy t.conns);
@@ -1244,7 +1258,7 @@ let poll t ~timeout =
         (fun c ->
           if
             c.dead || c.close_after_flush
-            || pending_out c > t.config.high_water
+            || pending_out c + c.held_bytes > t.config.high_water
             || Session.Manager.blocked t.mgr c.sid
           then None
           else Some c.fd)

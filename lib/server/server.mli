@@ -8,11 +8,13 @@
     co-operatively with a client in the same thread.
 
     Admission control and backpressure: at [max_conns] further accepts
-    are answered [ERR busy] and closed; a connection whose reply buffer
-    exceeds [high_water] bytes stops being read (a slow reader throttles
-    itself, never the server); a session queued behind a busy engine
-    shard stops being read until the shard frees; and frames over
-    [max_frame] lose framing — [ERR oversize], connection closed.
+    are answered [ERR busy] and closed, and so is an accepted socket
+    whose descriptor select(2) cannot watch (FD_SETSIZE, 1024 on Linux);
+    a connection whose reply buffer exceeds [high_water] bytes stops
+    being read (a slow reader throttles itself, never the server); a
+    session queued behind a busy engine shard stops being read until the
+    shard frees; and frames over [max_frame] lose framing —
+    [ERR oversize], connection closed.
 
     Graceful drain ({!request_drain}, wired to SIGTERM/SIGINT by
     {!install_signal_handlers}): stop accepting, finish the lines already
@@ -53,7 +55,8 @@ type config = {
       (** semi-synchronous replication (default [true]): a COMMIT reply
           is parked until every attached follower acknowledges that
           commit as durably local, so a commit the client saw
-          acknowledged survives losing the primary.  [false] ships
+          acknowledged survives losing the primary.  The connection's
+          later replies wait behind the parked one.  [false] ships
           asynchronously — faster, but the freshest acked commits can be
           lost with the primary. *)
   checkpoint_every : int option;

@@ -1,6 +1,7 @@
 (* Session management: per-connection sessions multiplexed onto N
-   independent engine shards, executed either inline (single-reactor
-   mode) or on worker domains (one per shard by default).
+   independent engine shards.  One dispatcher serves every session; jobs
+   run in one of two places — inline on the reactor, or on worker
+   domains (one per shard by default).
 
    The engine is single-threaded and transactional, so concurrency comes
    from partitioning, not sharing: [--engines N] creates N ordinary
@@ -14,25 +15,29 @@
    reactor stops reading from them — the queue bound plus that read-stop
    is the admission control of the protocol.
 
-   With [domains = 0] every state transition is synchronous and
-   single-threaded, exactly as above: the reactor calls in with one
-   decoded payload at a time and gets back the list of replies (possibly
-   for *other* sessions: releasing a shard answers its waiters) to write
-   out.
+   The dispatcher ([process_session]) takes a session's commands in
+   arrival order.  Engine-bound ones become jobs; the ownership and
+   waiter bookkeeping stays on the reactor and is updated *eagerly at
+   submit time* — a COMMIT releases its shard the moment it is
+   submitted — which is sound because jobs of one shard execute in
+   submission order: a waiter's LINE submitted after the COMMIT also
+   executes after it.  Reply order per session is preserved by counting
+   in-flight jobs: jobs pipeline FIFO, reactor-answered commands (HELLO,
+   PING, ETYPE, state errors, QUIT) wait until nothing is in flight so
+   their replies cannot overtake, and at [max_pending] jobs in flight
+   the session stops submitting — the window its greeting advertises.
 
-   With [domains = M > 0] the engines move off the reactor: shard [i]
-   belongs to worker domain [i mod M], commands travel through a bounded
-   per-worker mailbox, and replies come back through a per-worker
-   completion queue that the reactor drains from [pump] (a self-pipe
-   waker interrupts its select).  The ownership and waiter bookkeeping
-   stays on the reactor and is updated *eagerly at submit time* — a
-   COMMIT releases its shard the moment it is enqueued — which is sound
-   because the per-worker mailbox is FIFO: a waiter's LINE enqueued
-   after the COMMIT also executes after it.  Reply order per session is
-   preserved by counting in-flight jobs: shard-bound commands pipeline
-   FIFO through the one worker the session maps to, and reactor-answered
-   commands (HELLO, PING, state errors, QUIT) wait until nothing is in
-   flight so their replies cannot overtake. *)
+   Where a job runs is the only difference between the runtimes.  With
+   [domains = 0] (and on every standby) it runs at submit, on the
+   reactor, and its completion queues until the feeding call
+   ([on_payload], [on_binary], [disconnect]) settles it on return — so
+   the caller gets every reply (possibly for *other* sessions: releasing
+   a shard answers its waiters) in the returned list.  With
+   [domains = M > 0] shard [i] belongs to worker domain [i mod M], jobs
+   travel through a bounded per-worker mailbox, and completions come
+   back through a per-worker queue that the reactor drains from [pump]
+   (a self-pipe waker interrupts its select).  Completions go through
+   the same [handle_completion] either way. *)
 
 open Chimera_event
 open Chimera_rules
@@ -190,8 +195,11 @@ module Manager = struct
     mutable w_domain : unit Domain.t option;
   }
 
+  (* Where jobs run — the one thing the two runtimes differ in. *)
   type runtime =
-    | Inline
+    | Inline of completion Queue.t
+        (** jobs run on the reactor as they are submitted; their
+            completions wait here until the feeding call returns *)
     | Threaded of {
         n : int;  (** worker count; shard [i] belongs to worker [i mod n] *)
         workers : worker array;
@@ -382,8 +390,8 @@ module Manager = struct
 
   (* Everything below [run_line]/[do_commit]/[do_stats] touches only the
      shard's own interp/journal/executed cell: exclusive access is by
-     construction — inline mode runs them on the reactor, threaded mode
-     on the one worker domain the shard maps to. *)
+     construction — inline jobs run on the reactor, threaded ones on the
+     one worker domain the shard maps to. *)
 
   let trim_trailing_newlines s =
     let n = ref (String.length s) in
@@ -435,8 +443,6 @@ module Manager = struct
            frees in a defined state. *)
         Engine.abort engine;
         (Protocol.Err ("engine", msg ^ " (transaction aborted)"), None)
-
-  let do_abort shard = Engine.abort (Interp.engine shard.interp)
 
   let executed_reply shard =
     match List.rev !(shard.executed) with
@@ -572,7 +578,7 @@ module Manager = struct
         let c = completion sid ~reply ~notifies in
         { c with done_commit = Option.map (fun seq -> (shard, seq)) seq }
     | Run_abort { sid; shard; quiet } ->
-        do_abort t.shards.(shard);
+        Engine.abort (Interp.engine t.shards.(shard).interp);
         if quiet then completion sid
         else completion sid ~reply:(Protocol.Ok_ "aborted")
     | Run_stats { sid; shard; note } ->
@@ -650,7 +656,7 @@ module Manager = struct
            thread, so it always runs inline; the worker domains start at
            promotion time in a later revision — for now a promoted
            follower keeps serving inline. *)
-        if domains = 0 || standby then Inline
+        if domains = 0 || standby then Inline (Queue.create ())
         else
           let n = min domains engines in
           Threaded
@@ -695,7 +701,7 @@ module Manager = struct
         }
       in
       (match t.runtime with
-      | Inline -> ()
+      | Inline _ -> ()
       | Threaded { n; workers; waker } ->
           Array.iter
             (fun w ->
@@ -704,7 +710,7 @@ module Manager = struct
       Ok t
 
   let engines t = t.engines
-  let domains t = match t.runtime with Inline -> 0 | Threaded { n; _ } -> n
+  let domains t = match t.runtime with Inline _ -> 0 | Threaded { n; _ } -> n
 
   (* The reactor publishes each shard's replication ack floor (the lowest
      commit sequence every attached follower has durably acked;
@@ -717,7 +723,7 @@ module Manager = struct
 
   let wakeup_fd t =
     match t.runtime with
-    | Inline -> None
+    | Inline _ -> None
     | Threaded { waker; _ } -> Some (Mailbox.Waker.fd waker)
 
   let open_session t =
@@ -749,7 +755,10 @@ module Manager = struct
 
   let blocked t sid =
     match Hashtbl.find_opt t.sessions sid with
-    | Some s -> s.waiting || not (Queue.is_empty s.pending)
+    | Some s ->
+        s.waiting
+        || (not (Queue.is_empty s.pending))
+        || s.inflight >= t.max_pending
     | None -> false
 
   let idle t sid =
@@ -766,18 +775,18 @@ module Manager = struct
 
   (* ------------------------------------------------------- submission *)
 
-  let worker_of t shard_idx =
-    match t.runtime with
-    | Inline -> invalid_arg "Session.Manager: no workers in inline mode"
-    | Threaded { n; workers; _ } -> workers.(shard_idx mod n)
-
-  (* The reactor never blocks: a push refused by a full mailbox lands in
-     the worker's deferred queue instead, flushed (in order, ahead of
-     anything newer) by [pump] as completions free slots. *)
+  (* Inline, the job runs right here and only its completion waits.  On
+     worker domains the reactor never blocks: a push refused by a full
+     mailbox lands in the worker's deferred queue instead, flushed (in
+     order, ahead of anything newer) by [pump] as completions free
+     slots. *)
   let submit_job t shard_idx job =
-    let w = worker_of t shard_idx in
-    if not (Queue.is_empty w.w_deferred && Mailbox.try_push w.w_cmds job) then
-      Queue.add job w.w_deferred
+    match t.runtime with
+    | Inline completions -> Queue.add (exec_job t job) completions
+    | Threaded { n; workers; _ } ->
+        let w = workers.(shard_idx mod n) in
+        if not (Queue.is_empty w.w_deferred && Mailbox.try_push w.w_cmds job)
+        then Queue.add job w.w_deferred
 
   let submit t s job =
     s.inflight <- s.inflight + 1;
@@ -969,16 +978,8 @@ module Manager = struct
         shard.dropped_subs <- [];
         List.iter
           (fun (sid, sub, rule) ->
-            match t.runtime with
-            | Inline ->
-                let engine = Interp.engine shard.interp in
-                Engine.unwatch_rule engine rule;
-                (match Engine.undefine engine rule with
-                | Ok () -> ()
-                | Error (`Rule_error _) -> ())
-            | Threaded _ ->
-                submit_job t shard.idx
-                  (Run_unsub { sid; shard = shard.idx; sub; rule; quiet = true }))
+            submit_job t shard.idx
+              (Run_unsub { sid; shard = shard.idx; sub; rule; quiet = true }))
           (List.rev dropped)
 
   let rec release_shard t shard acc =
@@ -1001,195 +1002,53 @@ module Manager = struct
       drain_waiters t shard acc
     end
 
+  (* The one dispatcher: examine (don't yet pop) the head command and
+     either submit it as a job, answer it from the reactor, or leave it
+     queued.  Reactor answers wait for [inflight = 0] so they cannot
+     overtake job replies; shard commands park behind a busy shard; and
+     with [max_pending] jobs in flight the session stops submitting (the
+     window its greeting advertises) until completions drain it. *)
   and process_session t s acc =
-    match t.runtime with
-    | Inline -> process_inline t s acc
-    | Threaded _ -> process_threaded t s acc
-
-  and process_inline t s acc =
-    if (not (Queue.is_empty s.pending)) && not s.closed then begin
-      let shard = t.shards.(s.shard) in
-      let busy =
-        match shard.owner with Some owner -> owner <> s.id | None -> false
-      in
-      if requires_shard (Queue.peek s.pending) && busy then park s shard
-      else begin
-        exec_inline t s (Queue.pop s.pending) acc;
-        process_inline t s acc
-      end
-    end
-
-  and exec_inline t s input acc =
-    let shard = t.shards.(s.shard) in
-    let engine = Interp.engine shard.interp in
-    let reply r = push acc (Reply (s.id, r)) in
-    let owner_self () = shard.owner = Some s.id in
-    match input with
-    | Cmd (Protocol.Hello v) -> exec_hello t s v acc
-    | Cmd (Protocol.Ping token) ->
-        reply (Protocol.Ok_ (if token = "" then "pong" else "pong " ^ token))
-    | Cmd Protocol.Stats ->
-        reply
-          (Protocol.Ok_
-             (stats_text t ~sid:s.id ~shard_idx:s.shard
-                ~note:(greeting_note s shard)))
-    | Cmd Protocol.Quit ->
-        (* Orderly close: an uncommitted transaction aborts before the
-           shard passes to the next waiter. *)
-        if owner_self () then begin
-          Engine.abort engine;
-          release_shard t shard acc
-        end;
-        reply (Protocol.Ok_ "bye");
-        s.closed <- true;
-        push acc (Close s.id)
-    | Cmd (Protocol.Repl_hello _ | Protocol.Repl_ack _ | Protocol.Promote) ->
-        (* Replication verbs never reach the session manager — the
-           reactor intercepts them before dispatch; one slipping through
-           means the caller is not a chimera server. *)
-        reply (Protocol.Err ("proto", "replication verb outside a replication stream"))
-    | Cmd
-        ( Protocol.Line _ | Protocol.Etype _ | Protocol.Event _
-        | Protocol.Commit | Protocol.Abort | Protocol.Sub _ | Protocol.Unsub _ )
-    | Events _
-      when not s.greeted ->
-        reply (Protocol.Err ("proto", "HELLO required first"))
-    | Cmd
-        ( Protocol.Line _ | Protocol.Etype _ | Protocol.Event _
-        | Protocol.Commit | Protocol.Abort | Protocol.Sub _ | Protocol.Unsub _ )
-    | Events _
-      when t.standby_mode ->
-        reply
-          (Protocol.Err
-             ("standby", "server is a warm standby; writes go to the primary"))
-    | Cmd (Protocol.Sub { id; binary; spec }) ->
-        (* Subscription changes run at a transaction boundary only:
-           [define_dynamic]/[undefine] refresh the savepoint, which
-           would swallow part of an open transaction's rollback. *)
-        if owner_self () then
-          reply (Protocol.Err ("state", "SUB requires a closed transaction"))
-        else if Hashtbl.mem s.subs id then
-          reply
-            (Protocol.Err
-               ("state", Printf.sprintf "subscription %d already registered" id))
-        else (
-          match sub_spec ~sid:s.id ~sub:id spec with
-          | Error msg -> reply (Protocol.Err ("parse", msg))
-          | Ok rule_spec -> (
-              match Engine.define_dynamic engine rule_spec with
-              | Error (`Rule_error msg) -> reply (Protocol.Err ("engine", msg))
-              | Ok _ ->
-                  Engine.watch_rule engine rule_spec.Rule.name;
-                  Hashtbl.replace s.subs id
-                    { sub_rule = rule_spec.Rule.name; sub_bin = binary };
-                  reply (Protocol.Ok_ "")))
-    | Cmd (Protocol.Unsub { id }) -> (
-        if owner_self () then
-          reply (Protocol.Err ("state", "UNSUB requires a closed transaction"))
-        else
-          match Hashtbl.find_opt s.subs id with
-          | None ->
-              reply
-                (Protocol.Err
-                   ("state", Printf.sprintf "unknown subscription %d" id))
-          | Some entry ->
-              Hashtbl.remove s.subs id;
-              Engine.unwatch_rule engine entry.sub_rule;
-              (match Engine.undefine engine entry.sub_rule with
-              | Ok () -> ()
-              | Error (`Rule_error _) -> ());
-              reply (Protocol.Ok_ ""))
-    | Cmd (Protocol.Etype { id; name }) -> reply (exec_etype s ~id ~name)
-    | Cmd (Protocol.Line text) -> (
-        match line_statements text with
-        | Error (code, msg) -> reply (Protocol.Err (code, msg))
-        | Ok statements ->
-            (* Acquire on first contact, hold across engine errors: the
-               failed block was rolled back but the transaction is the
-               client's to COMMIT or ABORT. *)
-            shard.owner <- Some s.id;
-            reply (run_line shard statements))
-    | Cmd (Protocol.Event { etype; oid }) -> (
-        match Event_type.of_string etype with
-        | Error msg -> reply (Protocol.Err ("parse", msg))
-        | Ok etype ->
-            shard.owner <- Some s.id;
-            reply (run_event shard ~etype ~oid))
-    | Events payload -> (
-        (* The shape check mirrors [line_statements]: a malformed frame
-           never acquires the shard. *)
-        match Protocol.check_binary payload with
-        | Error msg -> reply (Protocol.Err ("proto", msg))
-        | Ok _ ->
-            shard.owner <- Some s.id;
-            reply (run_events shard ~etypes:s.etypes payload))
-    | Cmd Protocol.Commit ->
-        if owner_self () then begin
-          (let commit_reply, seq = do_commit shard in
-           (* Notifies precede the commit's own reply: a subscriber that
-              is also the committer observes its activations first. *)
-           List.iter (route_activation t acc) (Engine.drain_activations engine);
-           match seq with
-           | Some seq ->
-               push acc
-                 (Committed { sid = s.id; shard = s.shard; seq; reply = commit_reply })
-           | None -> reply commit_reply);
-          release_shard t shard acc
-        end
-        else reply (Protocol.Err ("state", "no open transaction"))
-    | Cmd Protocol.Abort ->
-        if owner_self () then begin
-          do_abort shard;
-          release_shard t shard acc;
-          reply (Protocol.Ok_ "aborted")
-        end
-        else reply (Protocol.Err ("state", "no open transaction"))
-
-  (* The threaded step: examine (don't yet pop) the head command and
-     either submit it to the session's worker, answer it from the
-     reactor, or leave it queued.  Reactor answers wait for
-     [inflight = 0] so they cannot overtake worker replies; shard
-     commands park behind a busy shard exactly as in inline mode, so the
-     two modes stay observably equivalent. *)
-  and process_threaded t s acc =
-    if (not s.closed) && (not s.waiting) && not (Queue.is_empty s.pending)
+    if
+      (not s.closed) && (not s.waiting)
+      && s.inflight < t.max_pending
+      && not (Queue.is_empty s.pending)
     then begin
       let shard = t.shards.(s.shard) in
-      let busy =
-        match shard.owner with Some owner -> owner <> s.id | None -> false
-      in
+      let owner_self = shard.owner = Some s.id in
       let cmd = Queue.peek s.pending in
-      (* Run a reactor-side answer, gated on an empty pipeline. *)
-      let inline_now f =
+      let answer_with f =
         if s.inflight = 0 then begin
           ignore (Queue.pop s.pending);
           f ();
-          process_threaded t s acc
+          process_session t s acc
         end
       in
-      let submit_now job =
+      let answer r = answer_with (fun () -> push acc (Reply (s.id, r))) in
+      (* [release]: COMMIT/ABORT free the shard eagerly — the waiters'
+         commands queue behind this job in the same FIFO. *)
+      let submit_now ?(release = false) job =
         ignore (Queue.pop s.pending);
         submit t s job;
-        process_threaded t s acc
+        if release then release_shard t shard acc;
+        process_session t s acc
       in
-      if requires_shard cmd && busy then park s shard
+      if requires_shard cmd && shard.owner <> None && not owner_self then
+        park s shard
       else
         match cmd with
-        | Cmd (Protocol.Hello v) -> inline_now (fun () -> exec_hello t s v acc)
+        | Cmd (Protocol.Hello v) -> answer_with (fun () -> exec_hello t s v acc)
         | Cmd (Protocol.Ping token) ->
-            inline_now (fun () ->
-                push acc
-                  (Reply
-                     ( s.id,
-                       Protocol.Ok_
-                         (if token = "" then "pong" else "pong " ^ token) )))
+            answer (Protocol.Ok_ (if token = "" then "pong" else "pong " ^ token))
         | Cmd Protocol.Stats ->
             submit_now
               (Run_stats
                  { sid = s.id; shard = s.shard; note = greeting_note s shard })
         | Cmd Protocol.Quit ->
-            inline_now (fun () ->
-                if shard.owner = Some s.id then begin
+            (* Orderly close: an uncommitted transaction aborts before the
+               shard passes to the next waiter. *)
+            answer_with (fun () ->
+                if owner_self then begin
                   submit t s
                     (Run_abort { sid = s.id; shard = s.shard; quiet = true });
                   release_shard t shard acc
@@ -1199,64 +1058,45 @@ module Manager = struct
                 push acc (Close s.id))
         | Cmd (Protocol.Repl_hello _ | Protocol.Repl_ack _ | Protocol.Promote)
           ->
-            (* Reactor-intercepted before dispatch; see [exec_inline]. *)
-            inline_now (fun () ->
-                push acc
-                  (Reply
-                     ( s.id,
-                       Protocol.Err
-                         ( "proto",
-                           "replication verb outside a replication stream" ) )))
+            (* Replication verbs never reach the session manager — the
+               reactor intercepts them before dispatch; one slipping
+               through means the caller is not a chimera server. *)
+            answer
+              (Protocol.Err
+                 ("proto", "replication verb outside a replication stream"))
         | Cmd
             ( Protocol.Line _ | Protocol.Etype _ | Protocol.Event _
             | Protocol.Commit | Protocol.Abort | Protocol.Sub _
             | Protocol.Unsub _ )
         | Events _
           when not s.greeted ->
-            inline_now (fun () ->
-                push acc
-                  (Reply (s.id, Protocol.Err ("proto", "HELLO required first"))))
+            answer (Protocol.Err ("proto", "HELLO required first"))
         | Cmd
             ( Protocol.Line _ | Protocol.Etype _ | Protocol.Event _
             | Protocol.Commit | Protocol.Abort | Protocol.Sub _
             | Protocol.Unsub _ )
         | Events _
           when t.standby_mode ->
-            inline_now (fun () ->
-                push acc
-                  (Reply
-                     ( s.id,
-                       Protocol.Err
-                         ( "standby",
-                           "server is a warm standby; writes go to the primary"
-                         ) )))
-        | Cmd (Protocol.Sub { id; binary; spec }) ->
-            (* Same boundary/duplicate checks as inline; the registry
-               entry is written eagerly at submit (like shard ownership),
-               so a pipelined duplicate SUB or an immediate UNSUB sees
-               the in-flight define.  A failed define rolls it back at
-               completion ([done_sub_failed]). *)
-            if shard.owner = Some s.id then
-              inline_now (fun () ->
-                  push acc
-                    (Reply
-                       ( s.id,
-                         Protocol.Err
-                           ("state", "SUB requires a closed transaction") )))
+            answer
+              (Protocol.Err
+                 ("standby", "server is a warm standby; writes go to the primary"))
+        | Cmd (Protocol.Sub { id; binary; spec }) -> (
+            (* Subscription changes run at a transaction boundary only:
+               [define_dynamic]/[undefine] refresh the savepoint, which
+               would swallow part of an open transaction's rollback.  The
+               registry entry is written eagerly at submit (like shard
+               ownership), so a pipelined duplicate SUB or an immediate
+               UNSUB sees the in-flight define; a failed define rolls it
+               back at completion ([done_sub_failed]). *)
+            if owner_self then
+              answer (Protocol.Err ("state", "SUB requires a closed transaction"))
             else if Hashtbl.mem s.subs id then
-              inline_now (fun () ->
-                  push acc
-                    (Reply
-                       ( s.id,
-                         Protocol.Err
-                           ( "state",
-                             Printf.sprintf "subscription %d already registered"
-                               id ) )))
-            else (
+              answer
+                (Protocol.Err
+                   ("state", Printf.sprintf "subscription %d already registered" id))
+            else
               match sub_spec ~sid:s.id ~sub:id spec with
-              | Error msg ->
-                  inline_now (fun () ->
-                      push acc (Reply (s.id, Protocol.Err ("parse", msg))))
+              | Error msg -> answer (Protocol.Err ("parse", msg))
               | Ok rule_spec ->
                   Hashtbl.replace s.subs id
                     { sub_rule = rule_spec.Rule.name; sub_bin = binary };
@@ -1264,27 +1104,19 @@ module Manager = struct
                     (Run_sub
                        { sid = s.id; shard = s.shard; sub = id; spec = rule_spec }))
         | Cmd (Protocol.Unsub { id }) -> (
-            if shard.owner = Some s.id then
-              inline_now (fun () ->
-                  push acc
-                    (Reply
-                       ( s.id,
-                         Protocol.Err
-                           ("state", "UNSUB requires a closed transaction") )))
+            if owner_self then
+              answer
+                (Protocol.Err ("state", "UNSUB requires a closed transaction"))
             else
               match Hashtbl.find_opt s.subs id with
               | None ->
-                  inline_now (fun () ->
-                      push acc
-                        (Reply
-                           ( s.id,
-                             Protocol.Err
-                               ( "state",
-                                 Printf.sprintf "unknown subscription %d" id ) )))
+                  answer
+                    (Protocol.Err
+                       ("state", Printf.sprintf "unknown subscription %d" id))
               | Some entry ->
                   (* The registry entry survives until the completion:
-                     commits already in the worker's FIFO ahead of this
-                     UNSUB still route their notifies. *)
+                     commits queued ahead of this UNSUB still route their
+                     notifies. *)
                   submit_now
                     (Run_unsub
                        {
@@ -1295,74 +1127,42 @@ module Manager = struct
                          quiet = false;
                        }))
         | Cmd (Protocol.Etype { id; name }) ->
-            (* Gated on an empty pipeline like every reactor answer; a
-               frame submitted before this point keeps its snapshot. *)
-            inline_now (fun () ->
-                push acc (Reply (s.id, exec_etype s ~id ~name)))
+            (* Applied only once the pipeline is empty; a frame submitted
+               before this point keeps its snapshot. *)
+            answer_with (fun () -> push acc (Reply (s.id, exec_etype s ~id ~name)))
         | Cmd (Protocol.Line text) -> (
             match line_statements text with
-            | Error (code, msg) ->
-                inline_now (fun () ->
-                    push acc (Reply (s.id, Protocol.Err (code, msg))))
+            | Error (code, msg) -> answer (Protocol.Err (code, msg))
             | Ok statements ->
-                (* Eager acquire: ownership is reactor state; the worker
-                   sees only the statements. *)
+                (* Acquire on first contact, hold across engine errors:
+                   the failed block is rolled back but the transaction is
+                   the client's to COMMIT or ABORT. *)
                 shard.owner <- Some s.id;
-                submit_now
-                  (Run_line { sid = s.id; shard = s.shard; statements }))
+                submit_now (Run_line { sid = s.id; shard = s.shard; statements }))
         | Cmd (Protocol.Event { etype; oid }) -> (
             match Event_type.of_string etype with
-            | Error msg ->
-                inline_now (fun () ->
-                    push acc (Reply (s.id, Protocol.Err ("parse", msg))))
+            | Error msg -> answer (Protocol.Err ("parse", msg))
             | Ok etype ->
                 shard.owner <- Some s.id;
-                submit_now
-                  (Run_event { sid = s.id; shard = s.shard; etype; oid }))
+                submit_now (Run_event { sid = s.id; shard = s.shard; etype; oid }))
         | Events payload -> (
-            (* O(1) shape check on the reactor; malformed frames never
-               acquire the shard, and their ERR stays in pipeline order
-               behind in-flight replies.  The per-record decode happens
-               on the worker. *)
+            (* O(1) shape check here, mirroring [line_statements]: a
+               malformed frame never acquires the shard.  The per-record
+               decode runs in the job. *)
             match Protocol.check_binary payload with
-            | Error msg ->
-                inline_now (fun () ->
-                    push acc (Reply (s.id, Protocol.Err ("proto", msg))))
+            | Error msg -> answer (Protocol.Err ("proto", msg))
             | Ok _count ->
                 shard.owner <- Some s.id;
                 submit_now
                   (Run_events
-                     {
-                       sid = s.id;
-                       shard = s.shard;
-                       payload;
-                       etypes = s.etypes;
-                     }))
-        | Cmd Protocol.Commit ->
-            if shard.owner = Some s.id then begin
-              ignore (Queue.pop s.pending);
-              submit t s (Run_commit { sid = s.id; shard = s.shard });
-              (* Eager release: the waiters' commands enqueue behind this
-                 COMMIT in the same FIFO mailbox. *)
-              release_shard t shard acc;
-              process_threaded t s acc
-            end
-            else
-              inline_now (fun () ->
-                  push acc
-                    (Reply (s.id, Protocol.Err ("state", "no open transaction"))))
-        | Cmd Protocol.Abort ->
-            if shard.owner = Some s.id then begin
-              ignore (Queue.pop s.pending);
-              submit t s
-                (Run_abort { sid = s.id; shard = s.shard; quiet = false });
-              release_shard t shard acc;
-              process_threaded t s acc
-            end
-            else
-              inline_now (fun () ->
-                  push acc
-                    (Reply (s.id, Protocol.Err ("state", "no open transaction"))))
+                     { sid = s.id; shard = s.shard; payload; etypes = s.etypes }))
+        | Cmd Protocol.Commit when owner_self ->
+            submit_now ~release:true (Run_commit { sid = s.id; shard = s.shard })
+        | Cmd Protocol.Abort when owner_self ->
+            submit_now ~release:true
+              (Run_abort { sid = s.id; shard = s.shard; quiet = false })
+        | Cmd (Protocol.Commit | Protocol.Abort) ->
+            answer (Protocol.Err ("state", "no open transaction"))
     end
 
   (* ------------------------------------------------------ completions *)
@@ -1391,9 +1191,20 @@ module Manager = struct
         | Some _ | None -> ());
         if not s.closed then process_session t s acc
 
+  (* Inline jobs completed at submit; their completions settle here,
+     after the dispatcher returned — the order worker completions reach
+     [pump] in, so a PING queued behind a LINE still waits for it. *)
+  let settle_inline t acc =
+    match t.runtime with
+    | Threaded _ -> ()
+    | Inline completions ->
+        while not (Queue.is_empty completions) do
+          handle_completion t (Queue.pop completions) acc
+        done
+
   let pump t =
     match t.runtime with
-    | Inline -> []
+    | Inline _ -> []
     | Threaded _ when t.down -> []
     | Threaded { workers; waker; _ } ->
         Mailbox.Waker.drain waker;
@@ -1436,7 +1247,7 @@ module Manager = struct
       process_session t s acc
     end
 
-  let on_payload t sid payload =
+  let feed t sid f =
     if t.down then []
     else
       match Hashtbl.find_opt t.sessions sid with
@@ -1444,24 +1255,21 @@ module Manager = struct
       | Some s when s.closed -> []
       | Some s ->
           let acc = ref [] in
-          (match Protocol.command_of_payload payload with
-          | Error msg -> push acc (Reply (sid, Protocol.Err ("proto", msg)))
-          | Ok cmd -> enqueue t s (Cmd cmd) acc);
+          f s acc;
+          settle_inline t acc;
           List.rev !acc
+
+  let on_payload t sid payload =
+    feed t sid (fun s acc ->
+        match Protocol.command_of_payload payload with
+        | Error msg -> push acc (Reply (sid, Protocol.Err ("proto", msg)))
+        | Ok cmd -> enqueue t s (Cmd cmd) acc)
 
   (* The binary twin of [on_payload]: the payload goes in raw — tag
      classification already happened (one byte), the shape check runs at
-     dispatch, and the record decode on the worker domain. *)
+     dispatch, and the record decode in the job. *)
   let on_binary t sid payload =
-    if t.down then []
-    else
-      match Hashtbl.find_opt t.sessions sid with
-      | None -> []
-      | Some s when s.closed -> []
-      | Some s ->
-          let acc = ref [] in
-          enqueue t s (Events payload) acc;
-          List.rev !acc
+    feed t sid (fun s acc -> enqueue t s (Events payload) acc)
 
   let disconnect t sid =
     match Hashtbl.find_opt t.sessions sid with
@@ -1480,14 +1288,11 @@ module Manager = struct
           s.subs;
         Hashtbl.reset s.subs;
         if shard.owner = Some sid then begin
-          (match t.runtime with
-          | Inline -> do_abort shard
-          | Threaded _ ->
-              submit_job t s.shard
-                (Run_abort { sid; shard = s.shard; quiet = true }));
+          submit_job t s.shard (Run_abort { sid; shard = s.shard; quiet = true });
           release_shard t shard acc
         end
         else if shard.owner = None then flush_dropped t shard;
+        settle_inline t acc;
         List.rev !acc
 
   (* ----------------------------------------------- standby (follower) *)
@@ -1645,33 +1450,24 @@ module Manager = struct
 
   let shutdown t =
     if not t.down then begin
+      (* Abort whatever transactions are still open — behind any work
+         already queued for their shards. *)
+      Array.iteri
+        (fun i shard ->
+          match shard.owner with
+          | Some sid ->
+              shard.owner <- None;
+              submit_job t i (Run_abort { sid; shard = i; quiet = true })
+          | None -> ())
+        t.shards;
       (match t.runtime with
-      | Inline ->
+      | Inline _ ->
           Array.iter
             (fun shard ->
-              (match shard.owner with
-              | Some _ ->
-                  do_abort shard;
-                  shard.owner <- None
-              | None -> ());
-              (match shard.journal with
-              | Some j -> Journal.close j
-              | None -> ());
-              match shard.repl_sink with
-              | Some sink -> Journal.Sink.close sink
-              | None -> ())
+              Option.iter Journal.close shard.journal;
+              Option.iter Journal.Sink.close shard.repl_sink)
             t.shards
       | Threaded { workers; waker; _ } ->
-          (* Abort whatever transactions are still open — behind any work
-             already queued for their shards. *)
-          Array.iteri
-            (fun i shard ->
-              match shard.owner with
-              | Some sid ->
-                  shard.owner <- None;
-                  submit_job t i (Run_abort { sid; shard = i; quiet = true })
-              | None -> ())
-            t.shards;
           (* Flush the deferred queues, draining completions to free
              mailbox slots; the workers are still live, so this settles. *)
           let rec settle () =

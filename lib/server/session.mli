@@ -14,11 +14,17 @@
     admission control.  An orderly or disorderly close of a session that
     holds a shard aborts its uncommitted transaction.
 
-    With [domains = 0] (the default here) everything runs synchronously
-    on the calling thread.  With [domains = M > 0], M worker domains
-    execute the engine-bound commands — shard [i] belongs to worker
-    [i mod M] — fed through bounded per-worker mailboxes; replies then
-    surface asynchronously from {!pump}, which the caller runs whenever
+    One dispatcher takes each session's commands in arrival order and
+    answers them in that order: engine-bound commands become jobs, at
+    most [max_pending] of them in flight per session (the [window] the
+    greeting advertises), and the rest is answered once nothing is in
+    flight.  Where jobs run is the only difference between the
+    runtimes.  With [domains = 0] (the default here) they run
+    synchronously on the calling thread, and every reply comes back from
+    the call that fed the command.  With [domains = M > 0], M worker
+    domains run them — shard [i] belongs to worker [i mod M] — fed
+    through bounded per-worker mailboxes; replies then surface
+    asynchronously from {!pump}, which the caller runs whenever
     {!wakeup_fd} signals (or once per reactor turn). *)
 
 open Chimera_event
@@ -134,8 +140,8 @@ module Manager : sig
 
   val blocked : t -> int -> bool
   (** The session has commands queued (behind a busy shard, or behind its
-      own in-flight pipeline): the caller should stop reading from its
-      connection until events release it. *)
+      own in-flight pipeline) or [max_pending] jobs in flight: the caller
+      should stop reading from its connection until events release it. *)
 
   val idle : t -> int -> bool
   (** Nothing queued and nothing in flight for this session — its reply
@@ -152,12 +158,13 @@ module Manager : sig
   val on_binary : t -> int -> string -> event list
   (** Feed one binary EVENT/BATCH frame payload (raw bytes, tag byte
       included) from a session.  The reactor only runs an O(1) shape
-      check; the per-record decode and the engine ingestion run on the
-      shard's worker domain.  Each frame yields exactly one reply in
-      pipeline order — for a BATCH, [TRIGGERED] with every executed
-      rule in order, or the first error (preceding records stay applied
-      and the transaction stays open).  Event-type ids resolve through
-      the session's [ETYPE] table as of this call. *)
+      check; the per-record decode and the engine ingestion run in the
+      job (on the shard's worker domain, when there are any).  Each
+      frame yields exactly one reply in pipeline order — for a BATCH,
+      [TRIGGERED] with every executed rule in order, or the first error
+      (preceding records stay applied and the transaction stays open).
+      Event-type ids resolve through the session's [ETYPE] table as of
+      this call. *)
 
   val disconnect : t -> int -> event list
   (** The connection is gone (EOF, error, timeout, drain): aborts the

@@ -767,6 +767,65 @@ let test_failover_drill () =
   rm_rf dir_a;
   rm_rf dir_b
 
+(* Replies leave strictly in frame-arrival order whatever the
+   replication gate does: a PING pipelined in the same write as a COMMIT
+   whose reply the gate parks waits for that reply instead of overtaking
+   it.  Run with the primary inline and on one worker domain. *)
+let test_parked_commit_order ~domains () =
+  let dir_a = tmp_dir "order-primary" in
+  let dir_b = tmp_dir "order-standby" in
+  let base =
+    {
+      Server.default_config with
+      Server.engines = 1;
+      domains = Some domains;
+      boot_script = Some boot_script;
+    }
+  in
+  let create config =
+    match Server.create config with
+    | Ok s -> s
+    | Error msg -> Alcotest.fail msg
+  in
+  let primary = create { base with Server.journal_dir = Some dir_a } in
+  let follower =
+    create
+      {
+        base with
+        Server.journal_dir = Some dir_b;
+        follow = Some ("127.0.0.1", Server.port primary);
+      }
+  in
+  let both = [ primary; follower ] in
+  Fun.protect ~finally:(fun () ->
+      stop_server primary;
+      stop_server follower;
+      rm_rf dir_a;
+      rm_rf dir_b)
+  @@ fun () ->
+  await "initial resync" both (fun () ->
+      repl_caught_up (Server.manager follower) ~commits:1);
+  let c = connect primary in
+  Fun.protect ~finally:(fun () -> close_client c) @@ fun () ->
+  hello both c;
+  send both c (Protocol.Line "create item(n = 7)");
+  ignore (expect_triggered both c "line");
+  (* From here the standby is frozen until the client has seen nothing. *)
+  let frame cmd =
+    Protocol.frame_exn ~max_frame:mf (Protocol.command_to_payload cmd)
+  in
+  send_raw [ primary ] c (frame Protocol.Commit ^ frame (Protocol.Ping "after"));
+  (match recv ~polls:60 [ primary ] c with
+  | `Timeout -> ()
+  | `Reply r ->
+      Alcotest.failf "a reply left before the follower ack: %s"
+        (Protocol.reply_to_payload r)
+  | `Eof -> Alcotest.fail "connection closed while parked");
+  Alcotest.(check string) "the commit reply first" ""
+    (expect_ok both c "gated commit");
+  Alcotest.(check string) "then the pipelined ping" "pong after"
+    (expect_ok both c "pipelined ping")
+
 (* ----------------- checkpoint-era replication: GC'd history, attach *)
 
 (* With [checkpoint_every = 1] every commit checkpoints, seals and — with
@@ -904,6 +963,10 @@ let suite =
       test_loadgen_retry_until_server_arrives;
     Alcotest.test_case "failover drill: replicate, lose, promote" `Quick
       test_failover_drill;
+    Alcotest.test_case "parked COMMIT order, inline" `Quick
+      (test_parked_commit_order ~domains:0);
+    Alcotest.test_case "parked COMMIT order, 1 domain" `Quick
+      (test_parked_commit_order ~domains:1);
     Alcotest.test_case "attach over GC'd history via checkpoint base" `Quick
       test_checkpointed_attach_and_promote;
   ]

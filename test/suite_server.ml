@@ -292,63 +292,6 @@ let test_binary_decode_totality () =
   | _ -> Alcotest.fail "overflow record has valid shape");
   expect_error "u64 overflow" overflow
 
-(* The zero-copy decode: its window aliases the caller's buffer, so the
-   bytes must be copied out before the buffer is compacted — the server's
-   read loop does exactly that.  Regression for the aliasing contract:
-   the copied payload survives compaction, and both decode variants agree
-   on every verdict. *)
-let test_decode_view_alias_safety () =
-  let p1 = "PING first" and p2 = "PING second" in
-  let frames =
-    Protocol.frame_exn ~max_frame:mf p1 ^ Protocol.frame_exn ~max_frame:mf p2
-  in
-  let buf = Bytes.of_string frames in
-  let len = Bytes.length buf in
-  (match Protocol.decode_view ~max_frame:mf buf ~off:0 ~len with
-  | `Frame (off, plen, used) ->
-      Alcotest.(check string) "window reads the first payload" p1
-        (Bytes.sub_string buf off plen);
-      (* Copy out, then compact the way the server does: blit the
-         remainder to the front.  The window offsets now point into the
-         SECOND frame's bytes — the copy must be unaffected. *)
-      let copied = Bytes.sub_string buf off plen in
-      Bytes.blit buf used buf 0 (len - used);
-      Alcotest.(check string) "copy survives compaction" p1 copied;
-      Alcotest.(check bool) "stale window now reads other bytes" true
-        (Bytes.sub_string buf off plen <> p1);
-      (* The compacted buffer decodes to the second frame. *)
-      (match
-         Protocol.decode_view ~max_frame:mf buf ~off:0 ~len:(len - used)
-       with
-      | `Frame (off2, plen2, _) ->
-          Alcotest.(check string) "second frame after compaction" p2
-            (Bytes.sub_string buf off2 plen2)
-      | _ -> Alcotest.fail "second frame did not decode")
-  | _ -> Alcotest.fail "first frame did not decode");
-  (* The two decoders agree verdict-for-verdict. *)
-  let agree bytes ~off ~len =
-    match
-      ( Protocol.decode ~max_frame:mf bytes ~off ~len,
-        Protocol.decode_view ~max_frame:mf bytes ~off ~len )
-    with
-    | Protocol.Frame (p, used), `Frame (o, l, used') ->
-        Alcotest.(check string) "same payload" p (Bytes.sub_string bytes o l);
-        Alcotest.(check int) "same consumption" used used'
-    | Protocol.Need_more, `Need_more -> ()
-    | Protocol.Reject (_, skip), `Reject (_, skip') ->
-        Alcotest.(check int) "same skip" skip skip'
-    | Protocol.Corrupt _, `Corrupt _ -> ()
-    | _ -> Alcotest.fail "decode and decode_view disagree"
-  in
-  let whole = Bytes.of_string frames in
-  agree whole ~off:0 ~len:(Bytes.length whole);
-  for cut = 0 to 6 do
-    agree whole ~off:0 ~len:cut
-  done;
-  agree (Bytes.of_string (be32 0)) ~off:0 ~len:4;
-  agree (Bytes.of_string (be32 (mf + 1))) ~off:0 ~len:4;
-  agree whole ~off:2 ~len:(Bytes.length whole)
-
 (* -------------------------------------------------- session manager unit *)
 
 let boot_script =
@@ -1222,6 +1165,118 @@ let test_loadgen_binary_pipelined () =
   Alcotest.(check bool) "work frames triggered" true (r.Loadgen.triggered > 0);
   Alcotest.(check int) "commits" (4 * 4) r.Loadgen.commits
 
+(* The window the greeting advertises holds on worker domains too: with
+   [max_pending] jobs in flight the session reports [blocked] — the
+   reactor's cue to stop reading it — rather than admitting frames
+   without bound.  Every 7th frame names an etype id never announced, so
+   the reply stream has a shape that shows its order. *)
+let test_manager_window_bound () =
+  let window = 64 in
+  let mgr =
+    match
+      Session.Manager.create ~engines:1 ~domains:1 ~boot_script:tick_boot_script
+        ~max_pending:window ()
+    with
+    | Ok mgr -> mgr
+    | Error msg -> Alcotest.fail msg
+  in
+  Fun.protect ~finally:(fun () -> Session.Manager.shutdown mgr) @@ fun () ->
+  let sid = Session.Manager.open_session mgr in
+  let replies = Queue.create () in
+  let collect =
+    List.iter (function
+      | Session.Manager.Reply (s, r) when s = sid -> Queue.add r replies
+      | _ -> ())
+  in
+  let await n =
+    let fd = Option.get (Session.Manager.wakeup_fd mgr) in
+    let rec go tries =
+      if Queue.length replies < n then
+        if tries = 0 then
+          Alcotest.failf "%d of %d replies" (Queue.length replies) n
+        else begin
+          ignore (Unix.select [ fd ] [] [] 0.01);
+          collect (Session.Manager.pump mgr);
+          go (tries - 1)
+        end
+    in
+    go 1000
+  in
+  collect (feed mgr sid (Protocol.Hello Protocol.version));
+  collect (feed mgr sid (Protocol.Etype { id = 0; name = "tick" }));
+  await 2;
+  Queue.clear replies;
+  let frame i =
+    Protocol.encode_event
+      ~etype_id:(if i mod 7 = 0 then 9 else 0)
+      ~oid:i ~timestamp:0
+  in
+  let sent = ref 0 in
+  while (not (Session.Manager.blocked mgr sid)) && !sent <= window do
+    incr sent;
+    collect (Session.Manager.on_binary mgr sid (frame !sent))
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "blocked by frame %d" (window + 1))
+    true
+    (Session.Manager.blocked mgr sid);
+  await !sent;
+  List.iteri
+    (fun k reply ->
+      let i = k + 1 in
+      match reply with
+      | Protocol.Err ("proto", _) when i mod 7 = 0 -> ()
+      | Protocol.Triggered [ "onTick" ] when i mod 7 <> 0 -> ()
+      | r ->
+          Alcotest.failf "frame %d answered out of order: %s" i
+            (Protocol.reply_to_payload r))
+    (List.of_seq (Queue.to_seq replies));
+  Alcotest.(check bool) "pumping released the session" false
+    (Session.Manager.blocked mgr sid);
+  Queue.clear replies;
+  collect (feed mgr sid Protocol.Commit);
+  await 1;
+  match Queue.pop replies with
+  | Protocol.Ok_ _ -> ()
+  | r -> Alcotest.failf "commit: %s" (Protocol.reply_to_payload r)
+
+(* select(2) cannot watch a descriptor numbered FD_SETSIZE (1024) or
+   above.  Admission must refuse such a connection with ERR busy instead
+   of letting the next select raise out of the reactor; connections
+   admitted earlier keep being served.  The test pushes its own next
+   descriptor past the limit by dup'ing /dev/null. *)
+let test_socket_unselectable_fd_refused () =
+  with_boot_server @@ fun srv ->
+  let c1 = connect srv in
+  Fun.protect ~finally:(fun () -> close_client c1) @@ fun () ->
+  hello srv c1;
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+  let fillers = ref [ devnull ] in
+  Fun.protect ~finally:(fun () ->
+      List.iter
+        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+        !fillers)
+  @@ fun () ->
+  (* A Unix descriptor is its number; dup returns the lowest free one,
+     so once it returns 1023 every later descriptor is >= 1024. *)
+  let number (fd : Unix.file_descr) : int = Obj.magic fd in
+  let rec fill () =
+    match Unix.dup devnull with
+    | fd ->
+        fillers := fd :: !fillers;
+        if number fd < 1023 then fill ()
+    | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+        Alcotest.skip ()
+  in
+  if number devnull < 1023 then fill ();
+  let c2 = connect srv in
+  Fun.protect ~finally:(fun () -> close_client c2) @@ fun () ->
+  ignore (expect_err srv c2 "busy" "descriptor past select's limit");
+  expect_eof srv c2;
+  send srv c1 (Protocol.Ping "still");
+  Alcotest.(check string) "the admitted connection lives" "pong still"
+    (expect_ok srv c1 "ping")
+
 (* ---------------------- pipelined binary differential (reply ordering) *)
 
 (* The pipelining differential: 160 seeded scenarios, each a random mix
@@ -1960,8 +2015,6 @@ let suite =
       test_binary_roundtrip;
     Alcotest.test_case "binary decode is total (1000 payloads)" `Quick
       test_binary_decode_totality;
-    Alcotest.test_case "decode_view window aliasing" `Quick
-      test_decode_view_alias_safety;
     Alcotest.test_case "manager queueing and overflow" `Quick
       test_manager_queueing_and_overflow;
     Alcotest.test_case "hello key re-pins the session" `Quick
@@ -1994,6 +2047,10 @@ let suite =
       test_socket_binary_errors;
     Alcotest.test_case "pipelined binary loadgen" `Quick
       test_loadgen_binary_pipelined;
+    Alcotest.test_case "window bounds jobs in flight" `Quick
+      test_manager_window_bound;
+    Alcotest.test_case "descriptor past select's limit is refused" `Quick
+      test_socket_unselectable_fd_refused;
     Alcotest.test_case "differential: pipelined binary, 160 seeds" `Quick
       test_differential_binary_pipelined;
     Alcotest.test_case "notify payloads round trip" `Quick
