@@ -18,8 +18,7 @@ open Core
 let bounded_config =
   {
     Engine.default_config with
-    Engine.compact_at_commit = None;
-    retire_in_tx = Some 1;
+    Engine.retire_in_tx = Some 1;
   }
 
 let remove_chain path =

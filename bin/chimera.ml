@@ -65,9 +65,9 @@ let print_stats interp =
   | Some j ->
       let c = Journal.counters j in
       Printf.printf
-        "-- journal: %d record(s), %d commit(s), %d fsync(s), %d rotation(s), %d byte(s) -> %s\n"
+        "-- journal: %d record(s), %d commit(s), %d fsync(s), %d byte(s) -> %s\n"
         c.Journal.appends c.Journal.commits c.Journal.syncs
-        c.Journal.rotations c.Journal.bytes_written (Journal.path j));
+        c.Journal.bytes_written (Journal.path j));
   Printf.printf "-- %s\n"
     (Fmt.str "%a" Event_stats.pp
        (Event_stats.of_event_base (Engine.event_base (Interp.engine interp))))
@@ -129,9 +129,12 @@ let run_script trace metrics journal_path fsync checkpoint_every wake path =
   in
   (match (journal, checkpoint_every) with
   | None, Some _ -> invalid_arg "--checkpoint-every requires --journal"
-  | Some _, Some every_commits ->
-      Engine.enable_checkpoints (Interp.engine interp) ~every_commits ()
-  | _, None -> ());
+  | None, None -> ()
+  | Some _, every ->
+      Engine.enable_checkpoints (Interp.engine interp)
+        ~every_commits:
+          (Option.value every ~default:Checkpoint.default_every_commits)
+        ());
   let finish result =
     Option.iter Journal.close journal;
     finish_obs ~metrics ~trace;
@@ -161,10 +164,14 @@ let checkpoint_every_arg =
     & opt (some int) None
     & info [ "checkpoint-every" ] ~docv:"N"
         ~doc:
-          "Bounded state: every $(i,N) commits write a checkpoint beside \
-           the journal, seal the live segment, and GC the sealed segments \
-           the checkpoint covers — recovery boots from the checkpoint \
-           plus the O(delta) journal suffix.  Requires $(b,--journal).")
+          (Printf.sprintf
+             "Bounded state: every $(i,N) commits (default %d) write a \
+              checkpoint beside the journal, seal the live segment, and GC \
+              the sealed segments the checkpoint covers — recovery boots \
+              from the checkpoint plus the O(delta) journal suffix.  This \
+              cycle is what keeps the journal bounded.  Requires \
+              $(b,--journal)."
+             Checkpoint.default_every_commits))
 
 let checkpoint_interval_arg =
   Arg.(
@@ -282,6 +289,17 @@ let stats_cmd =
          shed.  $(b,sub.active) gauges the subscriptions currently \
          registered across all sessions.  The same figures appear on \
          the $(b,STATS) verb's $(b,subs:) line.";
+      `S "JOURNAL COUNTERS";
+      `P
+        "$(b,journal.appends) / $(b,journal.commits) / $(b,journal.syncs): \
+         records, commit markers and fsyncs of the write-ahead journal, \
+         timed by $(b,journal.append_ns) and $(b,journal.fsync_ns).  \
+         $(b,journal.seals) / $(b,gc.segments): live segments sealed \
+         behind a checkpoint and sealed segments deleted.  The checkpoint \
+         cycle is the only thing that bounds a journal, so there is no \
+         rotation counter; the $(b,STATS) verb's $(b,journal:) line and \
+         the summary of $(b,chimera run --journal) report records, \
+         commits and fsyncs.";
     ]
   in
   Cmd.v

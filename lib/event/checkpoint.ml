@@ -22,6 +22,7 @@
 open Chimera_util
 
 let header = "# chimera-checkpoint v1"
+let default_every_commits = 1000
 let meta_tag = "ckpt.meta"
 let end_tag = "ckpt.end"
 

@@ -24,6 +24,14 @@ val path_for : string -> string
 (** The conventional checkpoint path beside a journal:
     [<journal>.ckpt]. *)
 
+val default_every_commits : int
+(** The commit cadence a journaled [chimera serve] shard or
+    [chimera run] checkpoints at when none is given (1000).  A cycle
+    costs about six fsyncs and one pass over the live store — under 1%
+    of the fsyncs the default per-commit policy already pays for the
+    same commits — and it bounds what the journal holds, and recovery
+    replays, past the checkpoint to about that many transactions. *)
+
 val write : path:string -> t -> unit
 (** Atomically (re)writes the checkpoint at [path]. *)
 

@@ -38,6 +38,7 @@ module Type_oid_key = struct
 end
 
 module Type_oid_tbl = Hashtbl.Make (Type_oid_key)
+module Int_map = Map.Make (Int)
 
 type t = {
   clock : Time.Clock.clock;
@@ -45,11 +46,16 @@ type t = {
   log : Occurrence.t Vec.t;
   by_type : int Vec.t Event_type.Tbl.t;  (** posting lists of log indices *)
   by_type_oid : Time.t Vec.t Type_oid_tbl.t;
-  (* Per-object event instants (the "sparse data structure" of Section 5):
-     lets [oids_in] check each known object with a binary search instead of
-     scanning the window. *)
-  by_oid : (int, Time.t Vec.t) Hashtbl.t;
-  oid_registry : int Vec.t;  (** first-seen order *)
+  mutable by_oid : Time.t Vec.t Int_map.t;
+      (** Per-object event instants (the "sparse data structure" of
+          Section 5), in ascending oid: [oids_in] checks each object with
+          a binary search instead of scanning the window.  Holds only
+          objects with an instant above [horizon] — retirement and
+          truncation drop an object once its instants are gone. *)
+  mutable oids_synced : int;
+      (** [by_oid] covers the log below this index: it is brought up to
+          date when [oids_in] asks, so a stream no instance lift or
+          [occurred]/[at] binding reads never pays for it *)
   mutable horizon : Time.t;
       (** the log and [by_oid] are retired up to here (inclusive) *)
   type_horizons : Time.t Event_type.Tbl.t;
@@ -71,8 +77,8 @@ let create () =
     log = Vec.create ~dummy:dummy_occurrence;
     by_type = Event_type.Tbl.create 64;
     by_type_oid = Type_oid_tbl.create 256;
-    by_oid = Hashtbl.create 256;
-    oid_registry = Vec.create ~dummy:0;
+    by_oid = Int_map.empty;
+    oids_synced = 0;
     horizon = Time.origin;
     type_horizons = Event_type.Tbl.create 64;
     listeners = [];
@@ -130,20 +136,37 @@ let indexed_types = index_types
 
 let oid_index t oid =
   let key = Ident.Oid.to_int oid in
-  match Hashtbl.find_opt t.by_oid key with
+  match Int_map.find_opt key t.by_oid with
   | Some v -> v
   | None ->
       let v = Vec.create ~dummy:Time.origin in
-      Hashtbl.add t.by_oid key v;
-      Vec.push t.oid_registry key;
+      t.by_oid <- Int_map.add key v t.by_oid;
       v
+
+(* Applies [cut] to every object's instants and drops the objects it
+   left without a live one: an absent object reads as "no live events",
+   so the index only ever holds what a window can still reach. *)
+let prune_oids t cut =
+  t.by_oid <-
+    Int_map.filter
+      (fun _ v ->
+        cut v;
+        not (Vec.is_empty v))
+      t.by_oid
+
+let sync_oids t =
+  let n = Vec.length t.log in
+  for i = t.oids_synced to n - 1 do
+    let occ = Vec.get t.log i in
+    Vec.push (oid_index t (Occurrence.oid occ)) (Occurrence.timestamp occ)
+  done;
+  t.oids_synced <- n
 
 let insert t occ =
   Obs.Metrics.incr c_recorded;
   Obs.Trace.set_eid (Ident.Eid.to_int (Occurrence.eid occ));
   let pos = Vec.length t.log in
   Vec.push t.log occ;
-  Vec.push (oid_index t (Occurrence.oid occ)) (Occurrence.timestamp occ);
   List.iter
     (fun key ->
       Vec.push (type_index t key) pos;
@@ -179,28 +202,14 @@ let record_at t ~etype ~oid ~timestamp =
    when [instant] was the present.  Every index is append-only in
    timestamp order, so each one is cut with a single binary search; the
    posting lists are cut *before* the log so their entries still resolve,
-   and the per-object registry is in first-seen order, so objects first
-   seen after the cut form a suffix. *)
+   and objects left without an instant leave the per-object index. *)
 let truncate_to t ~instant =
   let cut v ~key = Vec.truncate v (Vec.bisect_right v ~key instant + 1) in
   Event_type.Tbl.iter (fun _ v -> cut v ~key:(stamp_at t)) t.by_type;
   cut t.log ~key:Occurrence.timestamp;
   Type_oid_tbl.iter (fun _ v -> cut v ~key:(fun x -> x)) t.by_type_oid;
-  Hashtbl.iter (fun _ v -> cut v ~key:(fun x -> x)) t.by_oid;
-  let rec drop_fresh_oids () =
-    match Vec.last t.oid_registry with
-    | Some key -> (
-        (* A dangling slot (forgotten object) is committed-era: nothing
-           fresh sits at or below it, so stop there. *)
-        match Hashtbl.find_opt t.by_oid key with
-        | Some v when Vec.is_empty v ->
-            Hashtbl.remove t.by_oid key;
-            Vec.truncate t.oid_registry (Vec.length t.oid_registry - 1);
-            drop_fresh_oids ()
-        | Some _ | None -> ())
-    | None -> ()
-  in
-  drop_fresh_oids ();
+  prune_oids t (cut ~key:(fun x -> x));
+  t.oids_synced <- min t.oids_synced (Vec.length t.log);
   Time.Clock.rewind_to t.clock instant;
   (* EIDs are issued densely, one per logged occurrence, so the undone
      ones are exactly those beyond the remaining length. *)
@@ -253,36 +262,20 @@ let retire_to t ~horizon ~type_horizon =
   Failpoint.hit "window.retire";
   Vec.retire_prefix t.log
     (Vec.bisect_right t.log ~key:Occurrence.timestamp horizon + 1);
-  Hashtbl.iter
-    (fun _ v ->
-      Vec.retire_prefix v (Vec.bisect_right v ~key:(fun x -> x) horizon + 1))
-    t.by_oid;
+  (* Like the per-(type, object) postings, an object whose instants all
+     retired leaves the index; at a commit boundary the horizon is past
+     the clock, so every object goes at once.  Occurrences retired before
+     the index covered them need never be indexed. *)
+  if Time.( >= ) horizon (now t) then t.by_oid <- Int_map.empty
+  else
+    prune_oids t (fun v ->
+        Vec.retire_prefix v (Vec.bisect_right v ~key:(fun x -> x) horizon + 1));
+  t.oids_synced <- max t.oids_synced (Vec.start t.log);
   if Time.( > ) horizon t.horizon then begin
     t.horizon <- horizon;
     Obs.Metrics.set_gauge g_horizon (Time.to_int horizon)
   end;
   Obs.Metrics.add c_retired (Vec.start t.log - retired_before)
-
-(* Registry slots of forgotten objects dangle (their [by_oid] entry is
-   gone); first-seen order means churn workloads retire them as a
-   prefix, keeping the registry proportional to the live population
-   plus any out-of-order stragglers. *)
-let retire_registry_prefix t =
-  let rec go () =
-    let s = Vec.start t.oid_registry in
-    if
-      s < Vec.length t.oid_registry
-      && not (Hashtbl.mem t.by_oid (Vec.get t.oid_registry s))
-    then begin
-      Vec.retire_prefix t.oid_registry (s + 1);
-      go ()
-    end
-  in
-  go ()
-
-let forget_objects t ~oids =
-  List.iter (fun oid -> Hashtbl.remove t.by_oid (Ident.Oid.to_int oid)) oids;
-  retire_registry_prefix t
 
 let clipped_upper window ~at = Time.min at (Window.upto window)
 
@@ -361,25 +354,24 @@ let is_empty_in t ~window =
 module Int_set = Set.Make (Int)
 
 (* Distinct objects affected by any occurrence in [window], observed at
-   [at]: the "oid in R" set that instance-to-set lifting ranges over. *)
+   [at], in ascending oid: the "oid in R" set that instance-to-set
+   lifting ranges over, and the binding order of [occurred] and [at]. *)
 let oids_in t ~window ~at =
   let upper = clipped_upper window ~at in
   let after = Window.after window in
   if Time.( <= ) upper after then []
   else begin
-    (* Each known object is checked with one binary search: it belongs iff
+    sync_oids t;
+    (* Each live object is checked with one binary search: it belongs iff
        it has an event instant in (after, upper]. *)
-    let acc = ref [] in
-    Vec.iter
-      (fun key ->
-        match Hashtbl.find_opt t.by_oid key with
-        | None -> () (* forgotten object, dangling registry slot *)
-        | Some stamps ->
-            let i = Vec.bisect_right stamps ~key:(fun x -> x) upper in
-            if i >= Vec.start stamps && Time.( > ) (Vec.get stamps i) after
-            then acc := key :: !acc)
-      t.oid_registry;
-    List.rev_map Ident.Oid.of_int !acc
+    List.rev
+      (Int_map.fold
+         (fun key stamps acc ->
+           let i = Vec.bisect_right stamps ~key:(fun x -> x) upper in
+           if i >= Vec.start stamps && Time.( > ) (Vec.get stamps i) after
+           then Ident.Oid.of_int key :: acc
+           else acc)
+         t.by_oid [])
   end
 
 (* Distinct objects affected by occurrences of [etype] in [window] at

@@ -56,15 +56,9 @@ val retire_to :
     indices.  Sound when no live or restorable rule window reaches at or
     below the horizons; queries strictly above them are unaffected.
     Horizons need not be monotone across calls: retirement never
-    un-retires, and a lower bound is a no-op. *)
-
-val forget_objects : t -> oids:Ident.Oid.t list -> unit
-(** Drops the per-object indexes of objects the store has purged
-    (committed deletions).  Sound once their occurrences are retired or
-    otherwise unreachable: an absent per-object index reads as "no live
-    events", which is then exact.  Their first-seen registry slots are
-    reclaimed as they become a prefix (churn workloads delete roughly in
-    creation order). *)
+    un-retires, and a lower bound is a no-op.  Objects left without a
+    live occurrence leave the per-object index (so does [truncate_to]):
+    it holds only objects a window above the horizon can reach. *)
 
 val horizon : t -> Time.t
 (** The instant the log has been retired up to (inclusive);
@@ -99,8 +93,10 @@ val timestamps_in : t -> window:Window.t -> Time.t list
 val is_empty_in : t -> window:Window.t -> bool
 
 val oids_in : t -> window:Window.t -> at:Time.t -> Ident.Oid.t list
-(** Distinct objects affected by any occurrence in the window at [at]: the
-    set the instance-to-set lifting ranges over. *)
+(** Distinct objects affected by any occurrence in the window at [at], in
+    ascending oid: the set the instance-to-set lifting ranges over, and
+    the order [occurred] and [at] bind objects in.  The order depends on
+    the window alone, not on what was retired or truncated before. *)
 
 val oids_of_type :
   t -> etype:Event_type.t -> window:Window.t -> at:Time.t -> Ident.Oid.t list

@@ -1,6 +1,6 @@
 (* The write-ahead event journal: an append-only on-disk log of framed
-   records with commit/abort markers, a configurable fsync policy and
-   checkpoint-based segment rotation.
+   records with commit/abort markers, a configurable fsync policy and a
+   chain of sealed segments that checkpoints let GC retire.
 
    The journal is payload-agnostic: records are (tag, payload) strings —
    the engine writes operations with [Store_codec] lines and occurrences
@@ -14,25 +14,24 @@
    dropped (uncommitted records and torn bytes).
 
    Durability boundaries are instrumented with [Failpoint] sites
-   ("journal.write", "journal.fsync", "journal.rename",
-   "journal.dirsync"), so the recovery property tests can crash at every
-   one of them, including mid-write (torn records). *)
+   ("journal.write", "journal.fsync", "journal.seal.rename",
+   "journal.seal.dirsync", "journal.gc.unlink"), so the recovery property
+   tests can crash at every one of them, including mid-write (torn
+   records). *)
 
 open Chimera_util
 module Obs = Chimera_obs.Obs
 
-(* Durability is where latency hides: every fsync, block write and segment
-   rotation is timed into a log-scale histogram, so a snapshot attributes
-   journal time without a profiler attached. *)
+(* Durability is where latency hides: every fsync and block write is
+   timed into a log-scale histogram, so a snapshot attributes journal
+   time without a profiler attached. *)
 let c_appends = Obs.Metrics.counter "journal.appends"
 let c_commits = Obs.Metrics.counter "journal.commits"
 let c_syncs = Obs.Metrics.counter "journal.syncs"
-let c_rotations = Obs.Metrics.counter "journal.rotations"
 let c_seals = Obs.Metrics.counter "journal.seals"
 let c_gc_segments = Obs.Metrics.counter "gc.segments"
 let h_fsync = Obs.Metrics.histogram "journal.fsync_ns"
 let h_append = Obs.Metrics.histogram "journal.append_ns"
-let h_rotate = Obs.Metrics.histogram "journal.rotate_ns"
 
 let header = "# chimera-journal v1"
 
@@ -64,7 +63,6 @@ type counters = {
   appends : int;
   commits : int;
   syncs : int;
-  rotations : int;
   bytes_written : int;
 }
 
@@ -87,7 +85,6 @@ type t = {
   mutable appends : int;
   mutable commits : int;
   mutable syncs : int;
-  mutable rotations : int;
   mutable bytes_written : int;
   mutable closed : bool;
 }
@@ -97,7 +94,6 @@ let counters t =
     appends = t.appends;
     commits = t.commits;
     syncs = t.syncs;
-    rotations = t.rotations;
     bytes_written = t.bytes_written;
   }
 
@@ -125,8 +121,8 @@ let fsync_channel oc = Unix.fsync (Unix.descr_of_out_channel oc)
 
 (* Fsync of the parent directory: file creation and rename are directory
    mutations, durable only once the *directory* inode is forced down.
-   Without it a crash after a rotation's rename can recover the old
-   segment name — or no file at all — even though the rename "happened".
+   Without it a crash after a seal's rename can recover the old segment
+   name — or no file at all — even though the rename "happened".
    Best-effort on filesystems whose directories refuse fsync. *)
 let fsync_dir path =
   let dir = Filename.dirname path in
@@ -207,7 +203,6 @@ let create ?(sync = Per_commit) ~path () =
       appends = 0;
       commits = 0;
       syncs = 0;
-      rotations = 0;
       bytes_written = 0;
       closed = false;
     }
@@ -238,7 +233,6 @@ let open_append ?(sync = Per_commit) ~path ~commit_seq () =
     appends = 0;
     commits = 0;
     syncs = 0;
-    rotations = 0;
     bytes_written = 0;
     closed = false;
   }
@@ -305,68 +299,20 @@ let abort t =
   t.pending <- [];
   write_marker t "abort" ""
 
-(* ----------------------------------------------------------- rotation *)
-
-(* Replaces the whole journal by a fresh segment whose base records (a
-   checkpoint of the committed state) stand for everything logged so
-   far.  The segment is prepared aside, fsynced, and atomically renamed
-   over the live path: a crash anywhere leaves either the old journal or
-   the complete new one. *)
-let rotate t ~base =
-  check_open t;
-  let tok = Obs.Trace.begin_ "journal.rotate" in
-  t.pending <- [];
-  let tmp = t.path ^ ".rotating" in
-  let oc = open_segment tmp in
-  let previous = t.oc in
-  t.oc <- oc;
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.Trace.end_into h_rotate tok;
-      if t.oc == oc then () else close_out_noerr oc)
-    (fun () ->
-      write_string t (header ^ "\n");
-      let buf = Buffer.create 1024 in
-      List.iter
-        (fun (tag, payload) -> Buffer.add_string buf (encode_record ~tag payload))
-        base;
-      Buffer.add_string buf
-        (encode_record ~tag:"commit" (string_of_int (t.commit_seq + 1)));
-      write_string t (Buffer.contents buf);
-      fsync t;
-      Failpoint.hit "journal.rename";
-      Sys.rename tmp t.path;
-      (* The rename is durable only once the directory is synced: a
-         crash in between may resurrect the pre-rotation segment (or
-         leave only the ".rotating" name) on recovery. *)
-      Failpoint.hit "journal.dirsync";
-      fsync_dir t.path;
-      close_out_noerr previous;
-      t.commit_seq <- t.commit_seq + 1;
-      Obs.Metrics.incr c_commits;
-      t.commits <- t.commits + 1;
-      Obs.Metrics.incr c_rotations;
-      t.rotations <- t.rotations + 1;
-      t.appends <- t.appends + List.length base)
-
 (* ------------------------------------------------- sealing and GC *)
 
 (* Closes the live segment under a numbered name and continues appending
-   to a fresh live file at the same path — the checkpoint-era replacement
-   for [rotate]: instead of one segment standing for all history, history
-   accumulates as a chain [<path>.seg-0 .. seg-N, <path>] whose prefix a
-   checkpoint lets {!gc} retire.  Called at a commit boundary (no pending
-   block, no open transaction), so the sealed segment ends at a marker.
-   The sealed content is fsynced before the rename; a crash between the
-   rename and the fresh header leaves a readable chain with no live file,
-   which {!read_chain} tolerates. *)
+   to a fresh live file at the same path: history accumulates as a chain
+   [<path>.seg-0 .. seg-N, <path>] whose prefix a checkpoint lets {!gc}
+   retire.  Called at a commit boundary (no pending block, no open
+   transaction), so the sealed segment ends at a marker.  The sealed
+   content is fsynced before the rename; a crash between the rename and
+   the fresh header leaves a readable chain with no live file, which
+   {!read_chain} tolerates. *)
 let seal t =
   check_open t;
   if t.pending <> [] then invalid_arg "Journal.seal: pending block";
-  let tok = Obs.Trace.begin_ "journal.seal" in
-  Fun.protect
-    ~finally:(fun () -> Obs.Trace.end_into h_rotate tok)
-    (fun () ->
+  Obs.Trace.with_span "journal.seal" (fun () ->
       flush t.oc;
       fsync_channel t.oc;
       Obs.Metrics.incr c_syncs;
@@ -641,12 +587,12 @@ let entry_of_line line =
    the segment the path currently names, ships whole record lines only
    up to and including the last commit/abort marker — a flushed but
    still-open transaction (and any torn tail) is held back until its
-   marker lands — and follows segment rotation: when the inode behind
-   the path changes (the writer renamed a checkpointed segment over it),
-   the old descriptor is drained through its last marker, held-back
-   records of the abandoned transaction are dropped (the new segment's
-   checkpoint stands for them), and the stream restarts with a
-   [Segment] event that tells the follower to reset. *)
+   marker lands — and follows seals: when the inode behind the path
+   changes (the writer sealed the live segment aside and started a fresh
+   one after a checkpoint), the old descriptor is drained through its
+   last marker, held-back records of an abandoned transaction are
+   dropped, and the stream restarts with a [Segment] event that tells
+   the follower to reset onto the checkpoint. *)
 module Tail = struct
   type event =
     | Segment of { generation : int }
@@ -787,18 +733,18 @@ module Tail = struct
         | exception Unix.Unix_error _ -> (
             try Unix.close fd with Unix.Unix_error _ -> ()))
 
-  (* One poll turn: detect rotation, read what the writer has flushed,
+  (* One poll turn: detect a seal, read what the writer has flushed,
      return the shippable events.  Never blocks, never raises. *)
   let poll t =
     let acc = ref [] in
-    (* Rotation: the path now names a different inode than the open fd. *)
+    (* A seal: the path now names a different inode than the open fd. *)
     (match t.fd with
     | Some fd -> (
         match (Unix.stat t.t_path).Unix.st_ino with
         | ino when ino <> t.ino ->
-            (* Drain the abandoned segment through its last marker; the
-               held-back open transaction is superseded by the new
-               segment's checkpoint. *)
+            (* Drain the abandoned segment through its last marker; a
+               held-back open transaction is superseded by the
+               checkpoint the new segment starts from. *)
             drain_fd t fd acc;
             (try Unix.close fd with Unix.Unix_error _ -> ());
             t.fd <- None;

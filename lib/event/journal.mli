@@ -1,7 +1,8 @@
 (** The write-ahead event journal: an append-only on-disk log of framed
     (tag, payload) records with commit/abort markers, length+CRC32
     framing (one record per line under a versioned header), a
-    configurable fsync policy, and checkpoint-based segment rotation.
+    configurable fsync policy, and a chain of sealed segments that a
+    checkpoint lets GC retire.
 
     The journal is payload-agnostic; the engine records operations as
     [Store_codec] lines and occurrences as [Event_codec] lines.  Records
@@ -13,8 +14,8 @@
     what was dropped).
 
     Durability boundaries carry [Failpoint] sites — ["journal.write"]
-    (torn-write capable), ["journal.fsync"], ["journal.rename"] — so
-    recovery tests can crash at every one of them. *)
+    (torn-write capable), ["journal.fsync"] and the sealing and GC sites
+    below — so recovery tests can crash at every one of them. *)
 
 type sync_policy =
   | Per_write  (** fsync every flushed block and marker *)
@@ -56,21 +57,14 @@ val abort : t -> unit
     already-flushed records of the aborted transaction are skipped on
     replay. *)
 
-val rotate : t -> base:(string * string) list -> unit
-(** Replaces the whole journal by a fresh segment holding [base] (a
-    checkpoint of the committed state) closed by a commit marker.  The
-    segment is prepared aside, fsynced and atomically renamed over the
-    live path: a crash anywhere leaves either the old journal or the
-    complete new one.  Counts as a commit. *)
-
 (** {2 Sealing and segment GC}
 
-    The checkpoint-era alternative to {!rotate}: instead of one segment
-    standing for all history, the live file is {!seal}ed under a numbered
-    name ([<path>.seg-000000], [.seg-000001], …) and appending continues
-    in a fresh live file, forming a chain a checkpoint lets {!gc} retire
-    from the front.  Failpoint sites: ["journal.seal.rename"],
-    ["journal.seal.dirsync"], ["journal.gc.unlink"]. *)
+    The live file is {!seal}ed under a numbered name
+    ([<path>.seg-000000], [.seg-000001], …) and appending continues in a
+    fresh live file, forming a chain a checkpoint lets {!gc} retire from
+    the front — the only thing that bounds a journal on disk.  Failpoint
+    sites: ["journal.seal.rename"], ["journal.seal.dirsync"],
+    ["journal.gc.unlink"]. *)
 
 val seal : t -> unit
 (** Seals the live segment and continues at the same path.  Must be
@@ -109,15 +103,14 @@ val abandon : t -> unit
     use after a [Failpoint.Crash]. *)
 
 val commit_seq : t -> int
-(** Commit markers written so far (monotone across rotations). *)
+(** Commit markers written so far (monotone across seals). *)
 
 val path : t -> string
 
 type counters = {
   appends : int;  (** records accepted into pending blocks *)
-  commits : int;  (** commit markers written (incl. rotations) *)
+  commits : int;  (** commit markers written *)
   syncs : int;  (** fsyncs issued *)
-  rotations : int;
   bytes_written : int;  (** bytes written to the live segment *)
 }
 
@@ -178,12 +171,14 @@ val entry_of_line : string -> (entry, string) result
     reads the file the path currently names and emits raw record lines
     {e only up to and including the last commit/abort marker} — records
     of a still-open transaction (and any torn tail) are held back until
-    their marker lands.  Segment rotation (the writer atomically renaming
-    a checkpointed segment over the path) is detected by the inode
-    changing: the abandoned descriptor is drained through its last
-    marker, held-back records are dropped (the new checkpoint stands for
-    them), and a {!Tail.Segment} event tells the consumer to reset before
-    the new segment's records follow. *)
+    their marker lands.  A {!seal} (the writer renaming the live segment
+    aside and starting a fresh file at the path, right after a
+    checkpoint) is detected by the inode behind the path changing: the
+    abandoned descriptor is drained through its last marker, held-back
+    records are dropped (a seal happens at a commit boundary, so there
+    are none to lose), and a {!Tail.Segment} event tells the consumer to
+    reset — the checkpoint beside the journal is the new segment's base
+    — before the new segment's records follow. *)
 module Tail : sig
   type event =
     | Segment of { generation : int }
@@ -198,7 +193,7 @@ module Tail : sig
       [Records] event, split only at record boundaries. *)
 
   val poll : t -> event list
-  (** One non-blocking turn: detect rotation, read what the writer
+  (** One non-blocking turn: detect a seal, read what the writer
       flushed, return shippable events (possibly []).  Never raises; an
       unreadable or missing file simply yields nothing this turn. *)
 

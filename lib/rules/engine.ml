@@ -55,11 +55,6 @@ type config = {
   trigger : Trigger_support.config;
   max_rule_executions : int;
       (** guard against non-terminating rule cascades *)
-  compact_at_commit : int option;
-      (** drop the event log at commit once it exceeds this size; sound
-          because every rule window restarts at the commit instant.
-          Skipped while checkpointing is enabled (retirement and segment
-          GC bound state instead). *)
   window_events : bool;
       (** sliding event-base windows: at commit (and mid-transaction
           beyond [retire_in_tx]) retire occurrences no rule window can
@@ -76,7 +71,6 @@ let default_config =
   {
     trigger = Trigger_support.default_config;
     max_rule_executions = 10_000;
-    compact_at_commit = Some 100_000;
     window_events = true;
     retire_in_tx = Some 10_000;
   }
@@ -92,9 +86,8 @@ type stats = {
   mutable aborts : int;  (** transactions rolled back via {!abort} *)
   mutable block_rollbacks : int;  (** failed blocks undone atomically *)
   mutable journal_appends : int;  (** records accepted by the journal *)
-  mutable journal_commits : int;  (** commit markers (incl. rotations) *)
+  mutable journal_commits : int;  (** commit markers written *)
   mutable journal_syncs : int;  (** fsyncs issued by the journal *)
-  mutable journal_rotations : int;
   mutable recovered_commits : int;  (** committed transactions replayed *)
   mutable recovered_entries : int;  (** journal records replayed *)
   mutable recovery_dropped_entries : int;
@@ -116,7 +109,6 @@ let stats () =
     journal_appends = 0;
     journal_commits = 0;
     journal_syncs = 0;
-    journal_rotations = 0;
     recovered_commits = 0;
     recovered_entries = 0;
     recovery_dropped_entries = 0;
@@ -169,7 +161,7 @@ type ckpt_state = {
 type t = {
   config : config;
   store : Object_store.t;
-  mutable eb : Event_base.t;
+  eb : Event_base.t;
   rules : Rule_table.t;
   wake : Trigger_support.Wake.t;
       (** the reverse V(E) index over rules, fed by an event-base
@@ -261,8 +253,7 @@ let statistics t =
       let c = Journal.counters j in
       t.stats.journal_appends <- c.Journal.appends;
       t.stats.journal_commits <- c.Journal.commits;
-      t.stats.journal_syncs <- c.Journal.syncs;
-      t.stats.journal_rotations <- c.Journal.rotations);
+      t.stats.journal_syncs <- c.Journal.syncs);
   t.stats
 
 let tx_start t = t.tx_start
@@ -276,10 +267,9 @@ let clear_on_execution t = t.on_execution <- None
 let set_journal t j = t.journal <- Some j
 
 (* Turns on periodic checkpointing (requires an attached journal; at
-   least one cadence).  With checkpointing on, commits skip
-   [compact_at_commit]/[Journal.rotate] entirely: sliding-window
-   retirement bounds the event base, and the checkpoint + seal + GC
-   cycle bounds the journal chain instead. *)
+   least one cadence): the checkpoint + seal + GC cycle is what bounds
+   the journal chain, as sliding-window retirement bounds the event
+   base. *)
 let enable_checkpoints t ?path ?every_commits ?every_seconds
     ?(gc_floor = fun () -> max_int) () =
   (match every_commits with
@@ -682,15 +672,6 @@ let ingest_event t ~etype ~oid : (unit, error) result =
   Obs.Trace.end_into h_line tok;
   result
 
-(* After commit every rule window restarts at the commit instant, so no
-   evaluation can ever reach the old occurrences again: the log can be
-   dropped, keeping only the clock position so instants stay monotone. *)
-let compact t =
-  let fresh = Event_base.create () in
-  Time.Clock.advance_to (Event_base.clock fresh) (Event_base.now t.eb);
-  Event_base.on_insert fresh (Trigger_support.Wake.on_event t.wake);
-  t.eb <- fresh
-
 (* ------------------------------------------------- journal integration *)
 
 (* Timers are journaled at every commit as "name TAB period TAB
@@ -716,26 +697,22 @@ let timer_of_line line =
               Ok (name, period, countdown)
           | _ -> fail ()))
 
-(* The checkpoint a rotated segment opens with: it must reconstruct the
-   committed state exactly — live object rows (committed state carries
-   no tombstones: the commit point purges them, so a base written
+(* The records of a checkpoint: they must reconstruct the committed
+   state exactly — live object rows (committed state carries no
+   tombstones: the commit point purges them, so a base written
    mid-commit must drop the closing transaction's dead rows too), the
-   OID generator, the clock position (the event log itself was just
-   compacted away, soundly), and the timers. *)
-let checkpoint_entries t =
-  ("ckpt.oidgen", string_of_int (Object_store.oid_count t.store))
-  :: ("ckpt.clock", string_of_int (Time.to_int (Event_base.now t.eb)))
+   OID generator, the clock position (no event record is needed: every
+   rule window restarts at the commit instant), and the timers. *)
+let checkpoint_records t =
+  let record tag payload = { Journal.tag; payload } in
+  record "ckpt.oidgen" (string_of_int (Object_store.oid_count t.store))
+  :: record "ckpt.clock" (string_of_int (Time.to_int (Event_base.now t.eb)))
   :: List.filter_map
        (fun ((_, _, deleted, _) as row) ->
          if deleted then None
-         else Some ("ckpt.obj", Store_codec.object_to_line row))
+         else Some (record "ckpt.obj" (Store_codec.object_to_line row)))
        (Object_store.dump_objects t.store)
-  @ List.map (fun tm -> ("timer", timer_to_line tm)) (timer_list t)
-
-let checkpoint_records t =
-  List.map
-    (fun (tag, payload) -> { Journal.tag; payload })
-    (checkpoint_entries t)
+  @ List.map (fun tm -> record "timer" (timer_to_line tm)) (timer_list t)
 
 (* Writes a checkpoint covering everything committed so far, seals the
    live segment behind it and GCs the segments both the checkpoint and
@@ -791,7 +768,7 @@ let maybe_checkpoint t =
 (* Sliding-window retirement at a transaction boundary: every rule
    window restarts at [t.tx_start], so nothing at or before it is
    reachable — retire the whole live prefix in place (indices and EIDs
-   stay stable, unlike {!compact}). *)
+   stay stable). *)
 let retire_at_boundary t =
   Event_base.retire_to t.eb ~horizon:t.tx_start
     ~type_horizon:(fun _ -> t.tx_start)
@@ -809,28 +786,13 @@ and commit_body t : (unit, error) result =
   Trigger_support.check_all t.config.trigger t.stats.trigger_stats t.eb
     t.wake t.rules;
   let* () = process t ~include_deferred:true in
-  let checkpointing = Option.is_some t.ckpt in
-  let compacted =
-    match t.config.compact_at_commit with
-    | Some threshold when (not checkpointing) && Event_base.size t.eb >= threshold
-      ->
-        compact t;
-        true
-    | Some _ | None -> false
-  in
   (match t.journal with
   | None -> ()
   | Some j ->
-      if compacted then
-        (* Segment rotation rides the compaction: the dropped history is
-           replaced by a checkpoint of the committed state. *)
-        Journal.rotate j ~base:(checkpoint_entries t)
-      else begin
-        Queue.iter
-          (fun tm -> Journal.append j ~tag:"timer" (timer_to_line tm))
-          t.timers;
-        Journal.commit j
-      end);
+      Queue.iter
+        (fun tm -> Journal.append j ~tag:"timer" (timer_to_line tm))
+        t.timers;
+      Journal.commit j);
   (* The commit point: committed history can never be rolled back.  The
      transaction's buffered activations become deliverable exactly here —
      never earlier, so an abort (or a commit that failed above) can never
@@ -839,19 +801,13 @@ and commit_body t : (unit, error) result =
     t.committed_notifies <- t.tx_notifies @ t.committed_notifies;
     t.tx_notifies <- []
   end;
-  let purged = Object_store.forget_undo t.store in
+  Object_store.forget_undo t.store;
   let fresh_start = Event_base.probe_now t.eb in
   t.tx_start <- fresh_start;
   Rule_table.iter (fun rule -> Rule.reset rule ~tx_start:fresh_start) t.rules;
-  (* The whole live window died with the windows: retire it in place.
-     Under checkpointing this replaces compaction entirely — indices and
-     EIDs stay stable across the engine's lifetime. *)
-  if t.config.window_events && not compacted then begin
-    retire_at_boundary t;
-    (* The purged objects' occurrences just retired with the window:
-       their per-object indexes are dead weight now. *)
-    if purged <> [] then Event_base.forget_objects t.eb ~oids:purged
-  end;
+  (* The whole live window died with the windows: retire it in place —
+     indices and EIDs stay stable across the engine's lifetime. *)
+  if t.config.window_events then retire_at_boundary t;
   (* A checkpoint taken here needs no event records at all: the live
      window is empty, and every rule window starts at [fresh_start]. *)
   maybe_checkpoint t;
@@ -994,7 +950,7 @@ let apply_committed_txs t txs : (unit, string) result =
   in
   (* The replayed state is committed state: start a fresh transaction
      exactly as [commit] would. *)
-  let purged = Object_store.forget_undo t.store in
+  Object_store.forget_undo t.store;
   let fresh_start = Event_base.probe_now t.eb in
   t.tx_start <- fresh_start;
   Rule_table.iter (fun rule -> Rule.reset rule ~tx_start:fresh_start) t.rules;
@@ -1003,11 +959,7 @@ let apply_committed_txs t txs : (unit, string) result =
   Trigger_support.Wake.rebuild t.wake t.rules;
   (* The replayed history is unreachable, exactly as after a commit:
      retire it so a long-lived standby's event base stays bounded. *)
-  if t.config.window_events then begin
-    Event_base.retire_to t.eb ~horizon:t.tx_start
-      ~type_horizon:(fun _ -> t.tx_start);
-    if purged <> [] then Event_base.forget_objects t.eb ~oids:purged
-  end;
+  if t.config.window_events then retire_at_boundary t;
   begin_transaction t;
   Ok ()
 

@@ -20,19 +20,13 @@ type config = {
   trigger : Trigger_support.config;
   max_rule_executions : int;
       (** guard against non-terminating rule cascades *)
-  compact_at_commit : int option;
-      (** drop the event log at commit once it exceeds this size (sound:
-          every rule window restarts at the commit instant); [None]
-          disables compaction.  Skipped while checkpointing is enabled
-          (retirement and segment GC bound state instead).  Default:
-          [Some 100_000]. *)
   window_events : bool;
       (** sliding event-base windows: at commit (and mid-transaction past
           [retire_in_tx]) retire occurrences no rule window can reach
           again, in place — log indices and event identifiers stay
-          stable, unlike compaction.  Behaviour-preserving
-          (differential-tested against an unwindowed twin).  Default:
-          [true]. *)
+          stable, and the per-object index keeps only the objects of the
+          live window.  Behaviour-preserving (differential-tested against
+          an unwindowed twin).  Default: [true]. *)
   retire_in_tx : int option;
       (** mid-transaction retirement threshold: once the live log holds
           this many occurrences, every transaction line ends with a
@@ -54,9 +48,8 @@ type stats = {
   mutable aborts : int;  (** transactions rolled back via {!abort} *)
   mutable block_rollbacks : int;  (** failed blocks undone atomically *)
   mutable journal_appends : int;  (** records accepted by the journal *)
-  mutable journal_commits : int;  (** commit markers (incl. rotations) *)
+  mutable journal_commits : int;  (** commit markers written *)
   mutable journal_syncs : int;  (** fsyncs issued by the journal *)
-  mutable journal_rotations : int;
   mutable recovered_commits : int;  (** committed transactions replayed *)
   mutable recovered_entries : int;  (** journal records replayed *)
   mutable recovery_dropped_entries : int;
@@ -145,8 +138,8 @@ val commit : t -> (unit, error) result
 (** Processes deferred (and remaining immediate) rules, then starts a
     fresh transaction: rule windows restart, flags clear.  With a journal
     attached, the commit is made durable first — a commit marker under the
-    journal's fsync policy, or a checkpointed segment rotation when the
-    commit compacted the event log. *)
+    journal's fsync policy — and, with checkpointing enabled, a due
+    checkpoint cycle runs after it. *)
 
 val abort : t -> unit
 (** Rolls the current transaction back to its start: the store (via the
@@ -186,7 +179,9 @@ val set_journal : t -> Chimera_event.Journal.t -> unit
     occurrence is journaled from here on (blocks atomically, transactions
     closed by commit/abort markers).  Attach at transaction start —
     normally right after {!create} or {!recover} — so the journal sees
-    whole transactions. *)
+    whole transactions.  Attaching alone never checkpoints, so the
+    journal grows with every commit until {!enable_checkpoints} runs
+    (the CLI and the server enable it on every journal they open). *)
 
 val journal : t -> Chimera_event.Journal.t option
 
@@ -210,9 +205,9 @@ val enable_checkpoints :
     path), seals the live journal segment, and GCs every sealed segment
     at or below [min checkpoint_seq (gc_floor ())] — [gc_floor] is the
     replication ack floor, pinning segments a connected follower still
-    needs ([max_int] when unreplicated).  While enabled,
-    [compact_at_commit] is skipped: sliding-window retirement bounds the
-    event base and the checkpoint cycle bounds the journal chain. *)
+    needs ([max_int] when unreplicated).  This cycle is the only thing
+    that bounds the journal chain: without it the journal grows with
+    every commit. *)
 
 val gc_floor : t -> int option
 (** The journal-GC floor the last checkpoint cycle applied —

@@ -66,8 +66,8 @@ type config = {
   checkpoint_every : int option;
       (** bounded state: every N commits each journaled shard writes a
           checkpoint, seals its live segment and GCs segments behind
-          [min checkpoint_seq ack_floor]; [None] keeps the legacy
-          rotate-at-compaction behaviour *)
+          [min checkpoint_seq ack_floor]; [None] takes
+          [Checkpoint.default_every_commits] *)
   checkpoint_interval : float option;
       (** time-based checkpoint cadence in seconds (checked at commit
           boundaries, on the monotonic clock); combinable with
@@ -609,8 +609,8 @@ let tail_chunk t = max 1024 (min (32 * 1024) (t.config.max_frame - 256))
 
 (* [REPL_HELLO <version> <engines>]: upgrade this connection into a
    replication stream — one journal tailer per shard, reading the live
-   segment from its start (a fresh follower rebuilds from the full
-   segment; checkpoint rotation keeps segments bounded). *)
+   segment from its start (a fresh follower rebuilds from the checkpoint
+   and the live segment; checkpoint + seal keeps segments bounded). *)
 let handle_repl_hello t conn arg =
   let fail code msg = enqueue_reply t conn (Protocol.Err (code, msg)) in
   match String.split_on_char ' ' arg with

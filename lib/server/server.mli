@@ -60,9 +60,10 @@ type config = {
           asynchronously — faster, but the freshest acked commits can be
           lost with the primary. *)
   checkpoint_every : int option;
-      (** bounded state (default [None]): every N commits each journaled
-          shard writes a checkpoint beside its journal, seals the live
-          segment, and GCs sealed segments behind
+      (** bounded state: every N commits ([None], the default, takes
+          {!Chimera_event.Checkpoint.default_every_commits}) each
+          journaled shard writes a checkpoint beside its journal, seals
+          the live segment, and GCs sealed segments behind
           [min checkpoint_seq ack_floor] — the ack floor pins segments a
           connected replication follower has not durably acked.  A fresh
           follower attaching (or a seal rotating the stream) receives

@@ -221,10 +221,8 @@ module Manager = struct
             it to an ordinary primary *)
     fsync : Journal.sync_policy;
     boot_script : string option;  (** kept for standby shard resets *)
-    checkpoint_every : int option;
-        (** commits between engine checkpoints (journaled shards);
-            with [checkpoint_interval] also [None], the legacy
-            compact/rotate behaviour applies *)
+    checkpoint_every : int;
+        (** commits between engine checkpoints (journaled shards) *)
     checkpoint_interval : float option;
         (** seconds between engine checkpoints (checked at commit
             boundaries); combinable with [checkpoint_every] — whichever
@@ -368,12 +366,12 @@ module Manager = struct
       in
       (* Bounded state: periodic checkpoints + segment GC on journaled
          shards, gated by the replication ack floor the reactor feeds.
-         Count cadence, time cadence, or both — first due fires. *)
-      (match (journal, checkpoint_every, checkpoint_interval) with
-      | Some _, None, None | None, _, _ -> ()
-      | Some _, every_commits, every_seconds ->
-          Engine.enable_checkpoints (Interp.engine interp) ?every_commits
-            ?every_seconds ~gc_floor ());
+         Count cadence, plus the time cadence when given — first due
+         fires. *)
+      if journal <> None then
+        Engine.enable_checkpoints (Interp.engine interp)
+          ~every_commits:checkpoint_every ?every_seconds:checkpoint_interval
+          ~gc_floor ();
       Ok (finish ~journal ~repl_sink:None)
 
   (* ----------------------------------------------------- shard pinning *)
@@ -521,10 +519,9 @@ module Manager = struct
         let c = Journal.counters j in
         Buffer.add_string buf
           (Printf.sprintf
-             "\njournal: %d record(s), %d commit(s), %d fsync(s), %d \
-              rotation(s) -> %s"
+             "\njournal: %d record(s), %d commit(s), %d fsync(s) -> %s"
              c.Journal.appends c.Journal.commits c.Journal.syncs
-             c.Journal.rotations (Journal.path j)));
+             (Journal.path j)));
     (* The journal-GC floor and the replication ack floor gating it —
        ROADMAP's "unobservable floor": "none" until a checkpoint cycle
        ran (resp. while no follower pins anything). *)
@@ -623,12 +620,13 @@ module Manager = struct
 
   let create ~engines ?(domains = 0) ?journal_dir ?(fsync = Journal.Per_commit)
       ?boot_script ?(max_pending = 64) ?extra_stats ?(standby = false)
-      ?checkpoint_every ?checkpoint_interval () =
+      ?(checkpoint_every = Checkpoint.default_every_commits)
+      ?checkpoint_interval () =
     let ( let* ) = Result.bind in
     if engines <= 0 then Error "engines must be positive"
     else if domains < 0 then Error "domains must be non-negative"
-    else if (match checkpoint_every with Some n -> n <= 0 | None -> false)
-    then Error "checkpoint interval must be positive"
+    else if checkpoint_every <= 0 then
+      Error "checkpoint commit count must be positive"
     else if
       match checkpoint_interval with Some s -> s <= 0.0 | None -> false
     then Error "checkpoint interval must be positive"
@@ -1303,7 +1301,7 @@ module Manager = struct
     else Ok ()
 
   (* A new segment generation began upstream (initial attach, or a
-     checkpoint rotation on the primary): the shipped records rebuild the
+     checkpoint + seal on the primary): the shipped records rebuild the
      shard from nothing, so the engine restarts fresh — definitions only,
      exactly like standby boot — and the local segment copy truncates to
      a new header. *)
@@ -1430,13 +1428,11 @@ module Manager = struct
                   Engine.set_journal (Interp.engine shard.interp) j;
                   shard.journal <- Some j;
                   (* The promoted primary checkpoints like any other. *)
-                  (match (t.checkpoint_every, t.checkpoint_interval) with
-                  | None, None -> ()
-                  | every_commits, every_seconds ->
-                      Engine.enable_checkpoints (Interp.engine shard.interp)
-                        ?every_commits ?every_seconds
-                        ~gc_floor:(fun () -> Atomic.get t.gc_floors.(idx))
-                        ());
+                  Engine.enable_checkpoints (Interp.engine shard.interp)
+                    ~every_commits:t.checkpoint_every
+                    ?every_seconds:t.checkpoint_interval
+                    ~gc_floor:(fun () -> Atomic.get t.gc_floors.(idx))
+                    ();
                   Ok ()
               | exception Sys_error msg ->
                   Error (Printf.sprintf "cannot reopen journal %s: %s" path msg)

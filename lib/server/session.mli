@@ -90,13 +90,15 @@ module Manager : sig
       ([domains] is ignored).  Feed the stream through {!repl_reset} and
       {!repl_apply}; {!promote} turns the standby into a primary.
 
-      [checkpoint_every] (positive commits) and [checkpoint_interval]
-      (positive seconds, checked at commit boundaries) enable bounded
-      state on journaled shards — either alone or both, whichever
-      cadence is due first: the engine writes a checkpoint beside its
-      journal, seals the live segment and GCs segments behind
-      [min checkpoint_seq ack_floor] (see {!set_gc_floor}).  A standby
-      picks the settings up at promotion. *)
+      Journaled shards checkpoint every [checkpoint_every] commits
+      (positive; default {!Chimera_event.Checkpoint.default_every_commits})
+      and, when [checkpoint_interval] (positive seconds, checked at
+      commit boundaries) is given, on that time cadence too — whichever
+      is due first: the engine writes a checkpoint beside its journal,
+      seals the live segment and GCs segments behind
+      [min checkpoint_seq ack_floor] (see {!set_gc_floor}).  This cycle
+      is what bounds a shard's journal.  A standby picks the settings up
+      at promotion. *)
 
   val engines : t -> int
 
@@ -196,7 +198,7 @@ module Manager : sig
 
   val repl_reset : t -> shard:int -> (unit, string) result
   (** A [REPL_SEGMENT] arrived: a new segment generation begins upstream
-      (initial attach, or the primary rotated a checkpoint).  Restarts
+      (initial attach, or the primary sealed behind a checkpoint).  Restarts
       the shard's engine fresh (boot definitions re-run) and truncates
       its local segment copy; the records that follow rebuild the state. *)
 

@@ -257,19 +257,15 @@ let rollback_to t sp =
    bind live extents — so committed deletions release their rows here;
    the store stays O(live objects), not O(deletion history). *)
 let forget_undo t =
-  let purged =
-    List.filter_map
-      (function
-        | U_delete o when o.deleted ->
-            Hashtbl.remove t.objects (Ident.Oid.to_int o.oid);
-            unenroll t o.class_name o.oid;
-            Some o.oid
-        | _ -> None)
-      t.undo
-  in
+  List.iter
+    (function
+      | U_delete o when o.deleted ->
+          Hashtbl.remove t.objects (Ident.Oid.to_int o.oid);
+          unenroll t o.class_name o.oid
+      | _ -> ())
+    t.undo;
   t.undo <- [];
-  t.undo_len <- 0;
-  purged
+  t.undo_len <- 0
 
 (* ----------------------------------------------- checkpoint support *)
 

@@ -62,14 +62,12 @@ val rollback_to : t -> savepoint -> unit
     savepoint taken after the current state (or invalidated by
     {!forget_undo}). *)
 
-val forget_undo : t -> Ident.Oid.t list
+val forget_undo : t -> unit
 (** The commit point: drops the undo log (committed history can never be
     rolled back), invalidating earlier savepoints, and purges the
     transaction's tombstones — once rollback is impossible a deleted row
     is unreachable (reads filter it, rules bind live extents), so the
-    store stays O(live objects) under deletion churn.  Returns the
-    purged OIDs so the caller can drop other per-object state (the
-    event base's per-object indexes). *)
+    store stays O(live objects) under deletion churn. *)
 
 (** {2 Checkpoint support (journal segments)} *)
 

@@ -306,8 +306,8 @@ let test_wake_modes_agree () =
 
 (* Sliding-window retirement must be invisible: the same seeded rules and
    operation history through a windowed engine (retirement after every
-   single line — maximal pressure) and an unwindowed twin (retirement and
-   compaction both off, the log grows forever) must show identical rule
+   single line — maximal pressure) and an unwindowed twin (retirement
+   off, the log grows forever) must show identical rule
    behaviour after every line, identical live-window event-base queries
    at every step, and identical ts values at the end.  The second seed
    range commits and aborts mid-stream, so retirement also survives
@@ -319,15 +319,13 @@ let window_engine ~windowed exprs =
     if windowed then
       {
         Engine.default_config with
-        Engine.compact_at_commit = None;
-        window_events = true;
+        Engine.window_events = true;
         retire_in_tx = Some 1;
       }
     else
       {
         Engine.default_config with
-        Engine.compact_at_commit = None;
-        window_events = false;
+        Engine.window_events = false;
         retire_in_tx = None;
       }
   in

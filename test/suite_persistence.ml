@@ -1,4 +1,4 @@
-(* Event-base persistence (codec) and engine log compaction. *)
+(* Event-base persistence: the codec and its file variants. *)
 
 open Core
 
@@ -73,58 +73,6 @@ let test_file_io_errors () =
       Alcotest.(check bool) "write error mentions the path" true
         (Astring_contains.contains msg unwritable)
 
-(* Compaction must be behaviour-invisible: same traffic with and without
-   it yields the same store contents and rule executions, while the log
-   shrinks. *)
-let test_compaction_transparent () =
-  let run ~compact =
-    let config =
-      {
-        Engine.default_config with
-        Engine.compact_at_commit = (if compact then Some 1 else None);
-      }
-    in
-    let engine = Scenario.engine ~config () in
-    let prng = Prng.create ~seed:99 in
-    for _ = 1 to 5 do
-      Scenario.run_inventory_traffic prng engine ~lines:20 ~ops_per_line:3;
-      Engine.commit_exn engine
-    done;
-    let stats = Engine.statistics engine in
-    let stock =
-      List.map
-        (fun oid ->
-          match
-            Object_store.get (Engine.store engine) oid ~attribute:"quantity"
-          with
-          | Ok v -> Value.to_string v
-          | Error _ -> "?")
-        (Object_store.extent (Engine.store engine) ~class_name:"stock")
-    in
-    (stats.Engine.executions, stock, Event_base.size (Engine.event_base engine))
-  in
-  let execs_c, stock_c, size_c = run ~compact:true in
-  let execs_n, stock_n, size_n = run ~compact:false in
-  Alcotest.(check int) "same executions" execs_n execs_c;
-  Alcotest.(check (list string)) "same final store" stock_n stock_c;
-  Alcotest.(check bool) "compacted log is empty after commit" true (size_c = 0);
-  Alcotest.(check bool) "uncompacted log retains history" true (size_n > 0)
-
-let test_compaction_keeps_clock_monotone () =
-  let config =
-    { Engine.default_config with Engine.compact_at_commit = Some 1 }
-  in
-  let engine = Engine.create ~config (Domain.schema ()) in
-  Engine.execute_line_exn engine
-    [ Domain.new_stock ~quantity:1 ~maxquantity:10 ~minquantity:0 ];
-  let before = Time.to_int (Event_base.now (Engine.event_base engine)) in
-  Engine.commit_exn engine;
-  Engine.execute_line_exn engine
-    [ Domain.new_stock ~quantity:2 ~maxquantity:10 ~minquantity:0 ];
-  let after = Time.to_int (Event_base.now (Engine.event_base engine)) in
-  Alcotest.(check bool) "instants strictly increase across compaction" true
-    (after > before)
-
 let suite =
   [
     roundtrip;
@@ -132,8 +80,4 @@ let suite =
     Alcotest.test_case "file roundtrip" `Quick test_file_roundtrip;
     Alcotest.test_case "file I/O errors are results" `Quick
       test_file_io_errors;
-    Alcotest.test_case "compaction is transparent" `Quick
-      test_compaction_transparent;
-    Alcotest.test_case "compaction keeps instants monotone" `Quick
-      test_compaction_keeps_clock_monotone;
   ]

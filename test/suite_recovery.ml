@@ -247,20 +247,15 @@ let run_until_crash ~path ~sync ~config ~txs ~lines ~ops =
 (* The acceptance property: crash at every journal boundary in turn and
    assert recovery ≡ the last committed prefix re-run on a fresh
    engine. *)
-let crash_matrix ~name ~sync ~compact ~txs ~lines ~ops () =
+let crash_matrix ~name ~sync ~txs ~lines ~ops () =
   let config =
-    {
-      Engine.default_config with
-      Engine.compact_at_commit = compact;
-      max_rule_executions = 10_000;
-    }
+    { Engine.default_config with Engine.max_rule_executions = 10_000 }
   in
   let path = temp_journal () in
   Fun.protect
     ~finally:(fun () ->
       Failpoint.clear ();
-      remove_if_exists path;
-      remove_if_exists (path ^ ".rotating"))
+      remove_if_exists path)
   @@ fun () ->
   (* Pass 1: count the journal boundaries of the fault-free run. *)
   Failpoint.arm ~seed:fault_seed ~after:max_int ();
@@ -311,81 +306,12 @@ let crash_matrix ~name ~sync ~compact ~txs ~lines ~ops () =
   done
 
 let test_crash_recovery_per_commit () =
-  crash_matrix ~name:"per-commit" ~sync:Journal.Per_commit ~compact:None
-    ~txs:3 ~lines:5 ~ops:2 ()
+  crash_matrix ~name:"per-commit" ~sync:Journal.Per_commit ~txs:3 ~lines:5
+    ~ops:2 ()
 
 let test_crash_recovery_per_write () =
-  crash_matrix ~name:"per-write" ~sync:Journal.Per_write ~compact:None ~txs:2
-    ~lines:4 ~ops:2 ()
-
-let test_crash_recovery_rotation () =
-  (* compact_at_commit = 0: every commit compacts, so every commit is a
-     checkpointed segment rotation — crashing the journal.rename boundary
-     included. *)
-  crash_matrix ~name:"rotation" ~sync:Journal.Per_commit ~compact:(Some 0)
-    ~txs:3 ~lines:5 ~ops:2 ()
-
-(* Rotation durability (the dirsync bugfix): rotation renames the fresh
-   compacted segment over the live path and must then fsync the parent
-   directory, or the rename itself can be lost on power failure.  The
-   [journal.dirsync] failpoint sits exactly between the rename and the
-   directory fsync; crashing there must leave a recoverable journal whose
-   checkpoint is intact. *)
-let test_rotation_dirsync_crash () =
-  let path = temp_journal () in
-  Fun.protect
-    ~finally:(fun () ->
-      Failpoint.clear ();
-      remove_if_exists path;
-      remove_if_exists (path ^ ".rotating"))
-  @@ fun () ->
-  let scenario () =
-    let j = Journal.create ~path () in
-    Journal.append j ~tag:"op" "before-rotation";
-    Journal.commit j;
-    Journal.rotate j ~base:[ ("op", "checkpoint-entry") ];
-    Journal.append j ~tag:"op" "after-rotation";
-    Journal.commit j;
-    Journal.close j
-  in
-  (* Pass 1: count the boundaries of the fault-free run. *)
-  remove_if_exists path;
-  Failpoint.arm ~seed:fault_seed ~after:max_int ();
-  scenario ();
-  let boundaries = Failpoint.total_hits () in
-  Failpoint.clear ();
-  (* Pass 2: crash at each boundary; at the dirsync site specifically,
-     assert the rename already happened and the journal recovers. *)
-  let dirsync_crashes = ref 0 in
-  for b = 0 to boundaries - 1 do
-    remove_if_exists path;
-    remove_if_exists (path ^ ".rotating");
-    Failpoint.arm ~seed:fault_seed ~after:b ();
-    (match scenario () with
-    | () -> Alcotest.failf "boundary %d did not crash" b
-    | exception Failpoint.Crash site ->
-        Failpoint.clear ();
-        if site = "journal.dirsync" then begin
-          incr dirsync_crashes;
-          Alcotest.(check bool) "temp segment renamed away" false
-            (Sys.file_exists (path ^ ".rotating"));
-          match Journal.read ~path with
-          | Error msg ->
-              Alcotest.failf "recovery after dirsync crash: %s" msg
-          | Ok replay ->
-              let payloads =
-                List.map
-                  (fun e -> e.Journal.payload)
-                  (List.concat replay.Journal.committed)
-              in
-              Alcotest.(check bool) "checkpoint entry recovered" true
-                (List.mem "checkpoint-entry" payloads);
-              Alcotest.(check bool) "pre-rotation state is the checkpoint"
-                false
-                (List.mem "before-rotation" payloads)
-        end)
-  done;
-  Alcotest.(check bool) "dirsync boundary exercised" true (!dirsync_crashes >= 1)
+  crash_matrix ~name:"per-write" ~sync:Journal.Per_write ~txs:2 ~lines:4
+    ~ops:2 ()
 
 (* --------------------------- checkpoint/GC crash matrix (§4h bounded) *)
 
@@ -440,8 +366,7 @@ let test_checkpoint_crash_matrix () =
   let config =
     {
       Engine.default_config with
-      Engine.compact_at_commit = None;
-      max_rule_executions = 10_000;
+      Engine.max_rule_executions = 10_000;
       (* every line retires, so the checkpoint sites interleave with
          mid-transaction [window.retire] boundaries *)
       retire_in_tx = Some 1;
@@ -530,9 +455,7 @@ let test_checkpoint_crash_matrix () =
    commit-count matrix's — reached through the Monotime arm of the
    cadence check.  Recovery must be exactly as crash-safe. *)
 let test_checkpoint_time_cadence_crash_matrix () =
-  let config =
-    { Engine.default_config with Engine.compact_at_commit = None }
-  in
+  let config = Engine.default_config in
   let txs = 2 and lines = 4 and ops = 2 in
   let path = temp_journal () in
   Fun.protect
@@ -600,9 +523,7 @@ let test_checkpoint_time_cadence_crash_matrix () =
    replay would — and a chain whose covered segments DID unlink must
    recover without them. *)
 let test_checkpoint_gc_unlink_crash () =
-  let config =
-    { Engine.default_config with Engine.compact_at_commit = None }
-  in
+  let config = Engine.default_config in
   let path = temp_journal () in
   Fun.protect
     ~finally:(fun () ->
@@ -933,10 +854,6 @@ let suite =
       test_crash_recovery_per_commit;
     Alcotest.test_case "crash recovery at every boundary (per-write)" `Quick
       test_crash_recovery_per_write;
-    Alcotest.test_case "crash recovery across segment rotation" `Quick
-      test_crash_recovery_rotation;
-    Alcotest.test_case "rotation crash between rename and dirsync" `Quick
-      test_rotation_dirsync_crash;
     Alcotest.test_case "checkpoint/seal/GC crash at every boundary" `Quick
       test_checkpoint_crash_matrix;
     Alcotest.test_case "checkpoint time cadence crash at every boundary"

@@ -1,6 +1,6 @@
 (* The replication suite: the REPL_* wire frames in isolation, the
-   backoff schedule, journal tailing across rotation (including crashes
-   at every durability failpoint), the reactor surviving a hard RST with
+   backoff schedule, journal tailing across seals (including crashes at
+   every durability failpoint), the reactor surviving a hard RST with
    replies buffered, the load generator's bounded connect retry — and a
    full in-process failover drill: primary and warm standby polled
    co-operatively in one thread, semi-synchronous commit gating, loss of
@@ -233,14 +233,19 @@ let test_tail_commit_prefix () =
   rm_rf dir
 
 (* Pump tail events into a sink the way the standby does: [Segment]
-   resets, [Records] append raw bytes.  Runs until two quiet polls. *)
-let pump tail sink =
+   resets, then takes [base ()] — what the primary ships right after a
+   new generation starts — and [Records] append raw bytes.  Runs until
+   two quiet polls. *)
+let pump ?(base = fun () -> "") tail sink =
   let rec go quiet =
     if quiet < 2 then begin
       let evs = Journal.Tail.poll tail in
       List.iter
         (function
-          | Journal.Tail.Segment _ -> Journal.Sink.reset sink
+          | Journal.Tail.Segment _ ->
+              Journal.Sink.reset sink;
+              let b = base () in
+              if b <> "" then Journal.Sink.write sink b
           | Journal.Tail.Records data -> Journal.Sink.write sink data)
         evs;
       go (if evs = [] then quiet + 1 else 0)
@@ -248,8 +253,15 @@ let pump tail sink =
   in
   go 0
 
-let check_replay_equal what ~src ~copy =
-  match (Journal.read ~path:src, Journal.read ~path:copy) with
+(* The base a primary ships with a new generation: the checkpoint beside
+   the journal, as journal wire bytes (none before the first one). *)
+let checkpoint_base src () =
+  match Checkpoint.read_opt ~path:(Checkpoint.path_for src) with
+  | Ok (Some ckpt) -> Checkpoint.to_wire ckpt
+  | Ok None | Error _ -> ""
+
+let check_replays_equal what source copy =
+  match (source, copy) with
   | Ok a, Ok b ->
       Alcotest.(check int)
         (what ^ ": last_commit_seq")
@@ -264,6 +276,43 @@ let check_replay_equal what ~src ~copy =
   | Error msg, _ -> Alcotest.failf "%s: source unreadable: %s" what msg
   | _, Error msg -> Alcotest.failf "%s: copy unreadable: %s" what msg
 
+let check_replay_equal what ~src ~copy =
+  check_replays_equal what (Journal.read ~path:src) (Journal.read ~path:copy)
+
+(* What a tail's copy must replay to.  On the first generation that is
+   the source chain — a crash between a seal's rename and its fresh
+   header leaves only the sealed segment, which the tail still holds.
+   Past a seal it is the checkpoint the generation started from, then
+   the live segment. *)
+let check_tail_converged what ~tail ~src ~copy =
+  let source =
+    if Journal.Tail.generation tail <= 1 then
+      Result.map (fun c -> c.Journal.chain_replay) (Journal.read_chain ~path:src)
+    else
+      match
+        (Checkpoint.read ~path:(Checkpoint.path_for src), Journal.read ~path:src)
+      with
+      | Ok ckpt, Ok live ->
+          Ok
+            {
+              live with
+              Journal.committed = ckpt.Checkpoint.entries :: live.Journal.committed;
+              committed_seqs = ckpt.Checkpoint.commit_seq :: live.Journal.committed_seqs;
+              last_commit_seq = max ckpt.Checkpoint.commit_seq live.Journal.last_commit_seq;
+            }
+      | Error msg, _ | _, Error msg -> Error msg
+  in
+  check_replays_equal what source (Journal.read ~path:copy)
+
+(* A checkpoint covering everything [j] committed, as the engine writes
+   it right before sealing. *)
+let write_checkpoint j ~src payloads =
+  Checkpoint.write ~path:(Checkpoint.path_for src)
+    {
+      Checkpoint.commit_seq = Journal.commit_seq j;
+      entries = List.map (fun payload -> { Journal.tag = "ckpt"; payload }) payloads;
+    }
+
 let test_tail_across_rotation () =
   let dir = tmp_dir "tail-rotate" in
   let src = Filename.concat dir "shard-0.journal" in
@@ -272,16 +321,19 @@ let test_tail_across_rotation () =
   (* A small chunk forces [Records] splitting at record boundaries. *)
   let tail = Journal.Tail.create ~chunk:1024 ~path:src () in
   let sink = Journal.Sink.create ~sync:Journal.Never ~path:copy () in
+  let pump = pump ~base:(checkpoint_base src) in
   for i = 1 to 5 do
     Journal.append j ~tag:"op" (Printf.sprintf "pre-%d" i);
     Journal.commit j
   done;
   pump tail sink;
-  check_replay_equal "before rotation" ~src ~copy;
-  (* Rotate: the checkpoint base replaces history; the tail must reset
-     the sink and ship the new segment from its start — nothing dropped,
-     nothing duplicated. *)
-  Journal.rotate j ~base:[ ("ckpt", "state-at-5"); ("ckpt", "more") ];
+  check_tail_converged "before rotation" ~tail ~src ~copy;
+  (* Checkpoint, then seal: the live segment moves aside and a fresh one
+     starts at the path.  The tail must reset the sink, which takes the
+     checkpoint as its base and then the new segment from its start —
+     nothing dropped, nothing duplicated. *)
+  write_checkpoint j ~src [ "state-at-5"; "more" ];
+  Journal.seal j;
   for i = 1 to 3 do
     Journal.append j ~tag:"op" (Printf.sprintf "post-%d" i);
     Journal.commit j
@@ -289,7 +341,7 @@ let test_tail_across_rotation () =
   pump tail sink;
   Alcotest.(check int) "tail saw the second segment" 2
     (Journal.Tail.generation tail);
-  check_replay_equal "after rotation" ~src ~copy;
+  check_tail_converged "after rotation" ~tail ~src ~copy;
   (match Journal.read ~path:copy with
   | Ok r ->
       Alcotest.(check int) "checkpoint + 3 transactions" 4
@@ -300,13 +352,14 @@ let test_tail_across_rotation () =
   Journal.Sink.close sink;
   rm_rf dir
 
-(* Crash the writer at every failpoint inside rotation — torn segment
-   writes, the rename, the directory sync — and check the tail + sink
-   still converge to exactly what the surviving source segment replays
-   to.  The dirsync site is the interesting one: the rename is visible
-   but not yet durable, and the tail follows the new inode. *)
+(* Crash the writer at every failpoint inside a seal — the rename, the
+   directory sync, the torn header of the fresh segment, its fsync — and
+   check the tail + sink still converge to exactly what the surviving
+   source replays to.  The dirsync site is the interesting one: the
+   rename is visible but no live file exists yet, and the tail stays on
+   the sealed segment it holds. *)
 let test_tail_rotation_failpoints () =
-  (* Setup runs disarmed; only the rotation itself is inside the blast
+  (* Setup runs disarmed; only the seal itself is inside the blast
      radius, so the crash budget indexes its sites exactly. *)
   let scenario ~after =
     let dir = tmp_dir (Printf.sprintf "tail-crash-%d" after) in
@@ -315,32 +368,34 @@ let test_tail_rotation_failpoints () =
     let j = Journal.create ~sync:Journal.Per_commit ~path:src () in
     let tail = Journal.Tail.create ~path:src () in
     let sink = Journal.Sink.create ~sync:Journal.Never ~path:copy () in
+    let pump = pump ~base:(checkpoint_base src) in
     for i = 1 to 3 do
       Journal.append j ~tag:"op" (Printf.sprintf "tx-%d" i);
       Journal.commit j
     done;
     pump tail sink;
+    write_checkpoint j ~src [ "base" ];
     Failpoint.arm ~after ();
     let crashed =
       try
-        Journal.rotate j ~base:[ ("ckpt", "base") ];
+        Journal.seal j;
         false
       with Failpoint.Crash _ -> true
     in
     let hits = Failpoint.total_hits () in
     Failpoint.clear ();
     (* The "process" died (or survived); the tail keeps polling and the
-       sink must land on the replay of whatever segment now lives at
-       the path. *)
+       sink must land on the replay of whatever the path now holds. *)
     pump tail sink;
-    check_replay_equal (Printf.sprintf "crash point %d" after) ~src ~copy;
+    check_tail_converged (Printf.sprintf "crash point %d" after) ~tail ~src
+      ~copy;
     (try Journal.close j with _ -> ());
     Journal.Tail.close tail;
     Journal.Sink.close sink;
     rm_rf dir;
     (crashed, hits)
   in
-  (* Fault-free pass first, counting the sites a rotation crosses. *)
+  (* Fault-free pass first, counting the sites a seal crosses. *)
   let _, total = scenario ~after:max_int in
   Alcotest.(check bool) "rotation crosses failpoints" true (total > 0);
   for k = 0 to total - 1 do
