@@ -126,9 +126,12 @@ let run_workload ~title ~profile ~depth () =
     detectors;
   Pretty.print table
 
-(* Instance-oriented fragment: the calculus' lifted evaluation (per-object
-   ots over the event-base indexes) against the per-object incremental
-   tree. *)
+(* Instance-oriented fragment: the calculus' lifted evaluation — the
+   specification's fold over every object at every probe, and the
+   engine's incremental lift state ({!Lift}) — against the per-object
+   incremental tree.  Consume-on-detection restarts each detector, so the
+   three detection counts must agree; [run_instance_workload] reports
+   whether they did. *)
 let run_instance_workload () =
   let prng = Prng.create ~seed:1303 in
   let alphabet = Domain.abstract_alphabet 6 in
@@ -150,28 +153,39 @@ let run_instance_workload () =
       ()
   in
   let stream = Expr_gen.stream prng ~alphabet ~objects:256 ~length:10_000 in
-  (* Calculus: recompute the lifted ts after each event, consuming on
-     activation. *)
-  let calculus () =
+  (* Calculus: evaluate the lifted ts after each event, consuming on
+     activation — through [probe], which is [Ts.ts] (recompute) or the
+     incremental state. *)
+  let calculus name probe () =
     let eb = Event_base.create () in
     let consumption = Array.make (List.length exprs) Time.origin in
     let detections = ref 0 in
-    let exprs = Array.of_list (List.map Expr.inst exprs) in
+    let probes =
+      Array.of_list (List.map (fun ie -> probe (Expr.Inst ie)) exprs)
+    in
     let feed etype oid =
       ignore (Event_base.record eb ~etype ~oid);
       let at = Event_base.probe_now eb in
       Array.iteri
-        (fun i e ->
+        (fun i probe ->
           let env =
             Ts.env eb ~window:(Window.make ~after:consumption.(i) ~upto:at)
           in
-          if Ts.active env ~at e then begin
+          if probe env ~at > 0 then begin
             incr detections;
             consumption.(i) <- at
           end)
-        exprs
+        probes
     in
-    ("chimera ts (instance lift)", feed, fun () -> !detections)
+    (name, feed, fun () -> !detections)
+  in
+  let recompute =
+    calculus "chimera ts (recompute lift)" (fun e env ~at -> Ts.ts env ~at e)
+  in
+  let incremental =
+    calculus "chimera ts (incremental lift)" (fun e ->
+        let state = Lift.create e in
+        fun env ~at -> Lift.ts state env ~at)
   in
   let inst_tree () =
     let detectors = Array.of_list (List.map Inst_tree_detector.create exprs) in
@@ -190,23 +204,32 @@ let run_instance_workload () =
     in
     ("per-object tree", feed, fun () -> !detections)
   in
-  List.iter
-    (fun mk ->
-      let name, feed, detections = mk () in
-      let elapsed, () =
-        Bench_util.time_once_ns (fun () ->
-            List.iter (fun (etype, oid) -> feed etype oid) stream)
-      in
-      let per_event = elapsed /. float_of_int (List.length stream) in
-      Pretty.add_row table
-        [
-          name;
-          Pretty.ns_cell per_event;
-          Printf.sprintf "%.0f" (1e9 /. per_event);
-          string_of_int (detections ());
-        ])
-    [ calculus; inst_tree ];
-  Pretty.print table
+  let counts =
+    List.map
+      (fun mk ->
+        let name, feed, detections = mk () in
+        let elapsed, () =
+          Bench_util.time_once_ns (fun () ->
+              List.iter (fun (etype, oid) -> feed etype oid) stream)
+        in
+        let per_event = elapsed /. float_of_int (List.length stream) in
+        Pretty.add_row table
+          [
+            name;
+            Pretty.ns_cell per_event;
+            Printf.sprintf "%.0f" (1e9 /. per_event);
+            string_of_int (detections ());
+          ];
+        detections ())
+      [ recompute; incremental; inst_tree ]
+  in
+  Pretty.print table;
+  match counts with
+  | n :: rest when List.for_all (( = ) n) rest -> true
+  | _ ->
+      Printf.printf "instance fragment: detection counts disagree (%s)\n"
+        (String.concat " / " (List.map string_of_int counts));
+      false
 
 let e3 () =
   Bench_util.print_header
@@ -219,6 +242,6 @@ let e3 () =
     ~profile:Expr_gen.sequence_profile ~depth:3 ();
   run_workload ~title:"mixed boolean expressions (depth 4)"
     ~profile:Expr_gen.regular_profile ~depth:4 ();
-  run_instance_workload ()
+  if not (run_instance_workload ()) then exit 1
 
 let all () = e3 ()

@@ -252,9 +252,18 @@ let stats_cmd =
       `P
         "$(b,ts.evals) / $(b,ts.eval_ns): top-level ts evaluations of \
          the Section-4 evaluator (one per rule probe) and their latency. \
-         Rule probes and condition event formulas recompute ts from the \
-         event-base indexes every time: the engine keeps no evaluation \
-         cache.";
+         The engine keeps no evaluation cache: a probe evaluates the \
+         rule's expression over the event-base indexes, and each \
+         instance-oriented node of it reads the rule's incremental lift \
+         state, which keeps every window object's ots and updates only \
+         the objects events arrived on since the rule's last probe. \
+         Condition event formulas ($(b,occurred), $(b,at)) and \
+         $(b,chimera eval) evaluate from scratch.";
+      `P
+        "$(b,ts.lift_updates): per-object ots re-evaluations by the \
+         incremental lift states — at most one per arrival of an \
+         instance node's event types while the node's window lasts, \
+         whatever the number of objects in the window.";
       `S "WAKE AND POSTING-LIST COUNTERS";
       `P
         "$(b,trigger.woken) / $(b,trigger.idle): rules drained from the \

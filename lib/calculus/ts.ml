@@ -106,58 +106,64 @@ let lift t ~at ie =
             (fun acc oid -> max acc (ots t ~at ie oid))
             (ots t ~at ie o) os)
 
-let rec ts_logical t ~at e =
+(* The set-level evaluators answer every [Inst] node through [lift]: the
+   specification's fold above, or a caller's incremental equivalent. *)
+let rec ts_logical t ~lift ~at e =
   match e with
   | Expr.Prim p -> prim_ts t ~at p
-  | Expr.Not e -> -ts_logical t ~at e
+  | Expr.Not e -> -ts_logical t ~lift ~at e
   | Expr.And (a, b) ->
-      let va = ts_logical t ~at a and vb = ts_logical t ~at b in
+      let va = ts_logical t ~lift ~at a and vb = ts_logical t ~lift ~at b in
       if va > 0 && vb > 0 then max va vb else min va vb
   | Expr.Or (a, b) ->
-      let va = ts_logical t ~at a and vb = ts_logical t ~at b in
+      let va = ts_logical t ~lift ~at a and vb = ts_logical t ~lift ~at b in
       if va > 0 || vb > 0 then max va vb else min va vb
   | Expr.Seq (a, b) ->
-      let vb = ts_logical t ~at b in
-      if vb > 0 && ts_logical t ~at:(Time.of_int vb) a > 0 then vb
+      let vb = ts_logical t ~lift ~at b in
+      if vb > 0 && ts_logical t ~lift ~at:(Time.of_int vb) a > 0 then vb
       else -Time.to_int at
   | Expr.Inst ie -> lift t ~at ie
 
-let rec ts_algebraic t ~at e =
+let rec ts_algebraic t ~lift ~at e =
   match e with
   | Expr.Prim p -> prim_ts t ~at p
-  | Expr.Not e -> -ts_algebraic t ~at e
+  | Expr.Not e -> -ts_algebraic t ~lift ~at e
   | Expr.And (a, b) ->
-      let va = ts_algebraic t ~at a and vb = ts_algebraic t ~at b in
+      let va = ts_algebraic t ~lift ~at a
+      and vb = ts_algebraic t ~lift ~at b in
       let both = (1 + u va) * (1 + u vb) / 4 in
       (max va vb * both) + (min va vb * (1 - both))
   | Expr.Or (a, b) ->
-      let va = ts_algebraic t ~at a and vb = ts_algebraic t ~at b in
+      let va = ts_algebraic t ~lift ~at a
+      and vb = ts_algebraic t ~lift ~at b in
       let neither = (1 - u va) * (1 - u vb) / 4 in
       (min va vb * neither) + (max va vb * (1 - neither))
   | Expr.Seq (a, b) ->
-      let vb = ts_algebraic t ~at b in
+      let vb = ts_algebraic t ~lift ~at b in
       let probe = if vb > 0 then Time.of_int vb else at in
-      let va_at_b = ts_algebraic t ~at:probe a in
+      let va_at_b = ts_algebraic t ~lift ~at:probe a in
       let q = (1 + u vb) * (1 + u va_at_b) / 4 in
       (vb * q) - (Time.to_int at * (1 - q))
   | Expr.Inst ie -> lift t ~at ie
 
-let eval t ~at e =
+let eval t ~lift ~at e =
   match t.style with
-  | Logical -> ts_logical t ~at e
-  | Algebraic -> ts_algebraic t ~at e
+  | Logical -> ts_logical t ~lift ~at e
+  | Algebraic -> ts_algebraic t ~lift ~at e
 
 (* A primitive evaluation is ~150ns, so the disabled path must stay a
    single load-and-branch ahead of the untouched pre-obs code. *)
-let ts t ~at e =
+let ts_with ~lift t ~at e =
   if Obs.enabled () then begin
     Obs.Metrics.incr c_evals;
     let t0 = Obs.start_timer () in
-    let v = eval t ~at e in
+    let v = eval t ~lift ~at e in
     Obs.observe_since h_eval t0;
     v
   end
-  else eval t ~at e
+  else eval t ~lift ~at e
+
+let ts t ~at e = ts_with ~lift t ~at e
 
 let active t ~at e = ts t ~at e > 0
 let active_on t ~at ie oid = ots t ~at ie oid > 0

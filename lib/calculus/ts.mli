@@ -31,6 +31,22 @@ val u : int -> int
 val ts : env -> at:Time.t -> Expr.set -> int
 val ots : env -> at:Time.t -> Expr.inst -> Ident.Oid.t -> int
 
+val lift : env -> at:Time.t -> Expr.inst -> int
+(** Instance-to-set lifting (Section 4.3): the maximum of [ots] over the
+    objects affected within the window at [at] — the minimum for a
+    top-level instance negation — folded from scratch; [-at] ([+at]
+    under the minimum) when no object is affected.  [ts] of [Inst ie]. *)
+
+val ts_with :
+  lift:(env -> at:Time.t -> Expr.inst -> int) ->
+  env ->
+  at:Time.t ->
+  Expr.set ->
+  int
+(** [ts] with every [Inst] node answered by [lift] instead of {!lift} —
+    where {!Lift} plugs in its incremental state.  Counted and timed like
+    [ts]: one [ts.evals] and one [ts.eval_ns] per call. *)
+
 val active : env -> at:Time.t -> Expr.set -> bool
 (** [ts > 0]. *)
 

@@ -32,6 +32,7 @@ module Checkpoint = Chimera_event.Checkpoint
 module Expr = Chimera_calculus.Expr
 module Expr_parse = Chimera_calculus.Expr_parse
 module Ts = Chimera_calculus.Ts
+module Lift = Chimera_calculus.Lift
 module Derived = Chimera_calculus.Derived
 module Normal_form = Chimera_calculus.Normal_form
 

@@ -62,6 +62,7 @@ type t = {
       (** per-type posting retirement bounds; at least [horizon] *)
   mutable listeners : (Occurrence.t -> unit) list;
       (** notified after every insert, in registration order *)
+  mutable generation : int;  (** [truncate_to] calls so far *)
 }
 
 let dummy_occurrence =
@@ -82,12 +83,14 @@ let create () =
     horizon = Time.origin;
     type_horizons = Event_type.Tbl.create 64;
     listeners = [];
+    generation = 0;
   }
 
 let clock t = t.clock
 let size t = Vec.length t.log
 let live_size t = Vec.live_length t.log
 let horizon t = t.horizon
+let generation t = t.generation
 
 (* The bound below which type-restricted queries on [etype] may have lost
    occurrences to retirement; queries with [after >= type_horizon] are
@@ -204,6 +207,7 @@ let record_at t ~etype ~oid ~timestamp =
    posting lists are cut *before* the log so their entries still resolve,
    and objects left without an instant leave the per-object index. *)
 let truncate_to t ~instant =
+  t.generation <- t.generation + 1;
   let cut v ~key = Vec.truncate v (Vec.bisect_right v ~key instant + 1) in
   Event_type.Tbl.iter (fun _ v -> cut v ~key:(stamp_at t)) t.by_type;
   cut t.log ~key:Occurrence.timestamp;

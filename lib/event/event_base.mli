@@ -47,6 +47,11 @@ val truncate_to : t -> instant:Time.t -> unit
     event base exactly as it was when [instant] was the present — the
     abort/rollback path. *)
 
+val generation : t -> int
+(** How many times {!truncate_to} has run.  State derived from the log
+    and keyed on instants must start over when it changes: a truncation
+    reissues the undone instants to other occurrences. *)
+
 val retire_to :
   t -> horizon:Time.t -> type_horizon:(Event_type.t -> Time.t) -> unit
 (** The dual of [truncate_to]: releases every occurrence at or before

@@ -36,6 +36,9 @@ type t = {
   mutable wake_pending : bool;
       (** already enqueued in the dirty-rule set of the indexed wake
           (see {!Trigger_support.Wake}); dedups marking in O(1) *)
+  lift : Lift.t;
+      (** the incremental state of the event expression's [Inst] nodes
+          that the Trigger Support probes through *)
 }
 
 let spec t = t.spec
@@ -82,6 +85,7 @@ let make ~seqno ~tx_start spec =
           last_recomputation = Time.origin;
           last_sign_positive = false;
           wake_pending = false;
+          lift = Lift.create spec.event;
         }
 
 (* Two distinct windows (the paper keeps them orthogonal):

@@ -36,6 +36,9 @@ type t = {
   mutable wake_pending : bool;
       (** already enqueued in the dirty-rule set of the indexed wake
           (see {!Trigger_support.Wake}); dedups marking in O(1) *)
+  lift : Lift.t;
+      (** the incremental state of the event expression's [Inst] nodes
+          that the Trigger Support probes through *)
 }
 
 val spec : t -> spec

@@ -158,10 +158,10 @@ module Wake = struct
     List.rev d
 end
 
-(* One activation probe for [rule]: the plain Section-4 evaluator,
-   recomputed from the event-base indexes. *)
+(* One activation probe for [rule]: the Section-4 evaluator, with the
+   rule's [Inst] nodes answered by its incremental lift state. *)
 let rule_active eb ~window ~at rule =
-  Ts.active (Ts.env eb ~window) ~at rule.Rule.spec.event
+  Lift.ts rule.Rule.lift (Ts.env eb ~window) ~at > 0
 
 (* Is there, among the occurrences in (from, upto], one whose type is
    relevant to the rule under the configured detection mode? *)

@@ -40,9 +40,10 @@ type config = {
   optimizer : bool;  (** consult V(E) before recomputing ts *)
   wake : wake_mode;
 }
-(** Every probe evaluates ts in the logical style through a plain
-    {!Chimera_calculus.Ts.env}, recomputed from the event-base indexes;
-    the algebraic style agrees on every expression and instant
+(** Every probe evaluates ts in the logical style over the event-base
+    indexes, with the rule's [Inst] nodes answered by its incremental
+    lift state ({!Chimera_calculus.Lift}, equal to [Ts.lift] at every
+    probe); the algebraic style agrees on every expression and instant
     (property-tested). *)
 
 val default_config : config

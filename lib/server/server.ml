@@ -241,6 +241,16 @@ let create config =
       Error "--follow requires --journal (an ack must vouch for durability)"
     else Ok ()
   in
+  (* A checkpoint cadence is a journal setting: without a journal there
+     is nothing to checkpoint, and silently ignoring it hides a typo. *)
+  let* () =
+    match config with
+    | { journal_dir = None; checkpoint_every = Some _; _ } ->
+        Error "--checkpoint-every requires --journal"
+    | { journal_dir = None; checkpoint_interval = Some _; _ } ->
+        Error "--checkpoint-interval requires --journal"
+    | _ -> Ok ()
+  in
   let* mgr =
     Session.Manager.create ~engines:config.engines ~domains
       ?journal_dir:config.journal_dir ~fsync:config.fsync

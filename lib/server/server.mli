@@ -67,12 +67,14 @@ type config = {
           [min checkpoint_seq ack_floor] — the ack floor pins segments a
           connected replication follower has not durably acked.  A fresh
           follower attaching (or a seal rotating the stream) receives
-          the checkpoint as its segment base. *)
+          the checkpoint as its segment base.  Requires [journal_dir]:
+          {!create} refuses it otherwise. *)
   checkpoint_interval : float option;
       (** time-based checkpoint cadence in seconds, measured on the
           monotonic clock and checked at commit boundaries; combinable
           with [checkpoint_every] — whichever cadence is due first
-          fires.  [None] (default) disables the time cadence. *)
+          fires.  [None] (default) disables the time cadence.  Requires
+          [journal_dir], like [checkpoint_every]. *)
   notify_queue : int;
       (** slow-consumer bound for live subscriptions (default [1024]):
           at most this many [NOTIFY] pushes wait per connection; beyond

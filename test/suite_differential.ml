@@ -515,6 +515,183 @@ let test_windowed_agrees () =
       ~abort_at:(Some (8 + (seed mod 8)))
   done
 
+(* ------------------------------------ incremental lift differential *)
+
+(* The rule's incremental lift state ({!Lift}) against the specification
+   it stands in for: [Ts.lift] for every instance node, [Ts.ts] for whole
+   set expressions (whose set-level [Seq] probes behind the state's
+   cursor) and, on the negation-free fragment, the per-object incremental
+   tree.  Each seed draws full-profile expressions and drives one event
+   base through a random schedule of arrivals, considerations (the window
+   lower bound moves), commits, aborts ([truncate_to] reissues the undone
+   instants to other arrivals) and mid-transaction retirement.  A state
+   is probed at each event instant and the probe instant after it, as the
+   Trigger Support probes — in bursts, so catching up also spans several
+   arrivals — and now and then at an earlier instant behind its cursor. *)
+
+let lift_seeds = 160
+
+let run_lift_scenario ~seed =
+  let prng = Prng.create ~seed in
+  let alphabet = Domain.abstract_alphabet (2 + (seed mod 3)) in
+  let depth = 1 + (seed mod 4) in
+  let profile = Expr_gen.full_profile in
+  let insts =
+    List.init 3 (fun _ -> Expr_gen.gen_inst prng ~profile ~alphabet ~depth)
+  in
+  let sets =
+    List.init 2 (fun _ -> Expr_gen.gen prng ~profile ~alphabet ~depth ())
+  in
+  let nodes = List.map (fun ie -> (ie, Lift.create (Expr.Inst ie))) insts in
+  let whole = List.map (fun e -> (e, Lift.create e)) sets in
+  let trees =
+    List.filter_map
+      (fun (ie, st) ->
+        if Expr.inst_has_negation ie then None
+        else Some (ie, st, Inst_tree_detector.create ie))
+      nodes
+  in
+  let objects = 1 + (seed mod 5) in
+  let eb = Event_base.create () in
+  let after = ref Time.origin in
+  let tx_instant = ref Time.origin and tx_after = ref Time.origin in
+  let restart_window at =
+    after := at;
+    List.iter (fun (_, _, tree) -> Inst_tree_detector.reset tree) trees
+  in
+  let fail step what expr ~at expected got =
+    Alcotest.failf
+      "seed %d step %d %s %s at %d (window after %d): expected %d, lift \
+       state %d"
+      seed step what expr (Time.to_int at) (Time.to_int !after) expected got
+  in
+  let probe step ~at =
+    let upto = Event_base.probe_now eb in
+    let env = Ts.env eb ~window:(Window.make ~after:!after ~upto) in
+    List.iter
+      (fun (ie, st) ->
+        let expected = Ts.lift env ~at ie and got = Lift.ts st env ~at in
+        if expected <> got then
+          fail step "node" (Expr.inst_to_string ie) ~at expected got)
+      nodes;
+    List.iter
+      (fun (e, st) ->
+        let expected = Ts.ts env ~at e and got = Lift.ts st env ~at in
+        if expected <> got then
+          fail step "expr" (Expr.to_string e) ~at expected got)
+      whole
+  in
+  for step = 0 to 59 do
+    (match Prng.next_int prng ~bound:24 with
+    | 0 -> (* a consideration *) restart_window (Event_base.probe_now eb)
+    | 1 ->
+        (* a commit, retiring the finished transaction or not *)
+        tx_instant := Event_base.now eb;
+        tx_after := Event_base.probe_now eb;
+        restart_window !tx_after;
+        if Prng.next_int prng ~bound:2 = 0 then
+          Event_base.retire_to eb ~horizon:!tx_after
+            ~type_horizon:(fun _ -> !tx_after)
+    | 2 ->
+        (* an abort: later arrivals reuse the undone instants *)
+        Event_base.truncate_to eb ~instant:!tx_instant;
+        restart_window !tx_after
+    | 3 ->
+        (* mid-transaction retirement, as far as the window allows *)
+        let upto = !after in
+        Event_base.retire_to eb ~horizon:!tx_after
+          ~type_horizon:(fun _ -> upto)
+    | _ ->
+        let etype = Prng.pick prng (Array.of_list alphabet) in
+        let oid = Ident.Oid.of_int (1 + Prng.next_int prng ~bound:objects) in
+        let occ = Event_base.record eb ~etype ~oid in
+        List.iter
+          (fun (_, _, tree) ->
+            Inst_tree_detector.on_event tree ~etype ~oid
+              ~timestamp:(Occurrence.timestamp occ))
+          trees);
+    if Prng.next_int prng ~bound:3 > 0 then begin
+      let now = Event_base.now eb and at = Event_base.probe_now eb in
+      let span = Time.to_int now - Time.to_int !after in
+      if span > 0 && Prng.next_int prng ~bound:6 = 0 then begin
+        let behind = Time.to_int !after + Prng.next_int prng ~bound:span in
+        probe step ~at:(Time.of_int behind)
+      end;
+      probe step ~at:now;
+      probe step ~at;
+      let env = Ts.env eb ~window:(Window.make ~after:!after ~upto:at) in
+      List.iter
+        (fun (ie, st, tree) ->
+          let lifted = max 0 (Lift.ts st env ~at) in
+          if lifted <> Inst_tree_detector.value tree then
+            fail step "tree" (Expr.inst_to_string ie) ~at
+              (Inst_tree_detector.value tree) lifted)
+        trees
+    end
+  done
+
+let test_lift_agrees () =
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
+  let updates = Obs.Metrics.counter "ts.lift_updates" in
+  let before = Obs.Metrics.counter_value updates in
+  for i = 0 to lift_seeds - 1 do
+    run_lift_scenario ~seed:(8000 + i)
+  done;
+  (* The states really folded arrivals in, rather than deferring every
+     probe to the specification. *)
+  let moved = Obs.Metrics.counter_value updates - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "lift states re-evaluated objects (%d)" moved)
+    true (moved > lift_seeds * 20)
+
+(* The same states inside the engine, driven by its own probe schedule:
+   V(E)-restricted candidates, considerations moving the window, commits
+   and aborts.  After every line, each rule's state must read what
+   [Ts.ts] reads over the rule's trigger window. *)
+let run_engine_lift_scenario ~seed =
+  let prng = Prng.create ~seed in
+  let alphabet = Domain.abstract_alphabet 3 in
+  let exprs =
+    List.init
+      (1 + (seed mod 4))
+      (fun _ ->
+        to_domain
+          (Expr_gen.gen prng ~profile:Expr_gen.full_profile ~alphabet
+             ~depth:(1 + (seed mod 3)) ()))
+  in
+  let engine = wake_engine ~wake:Trigger_support.Indexed exprs in
+  for step = 0 to 29 do
+    wake_step engine (Prng.next_int prng ~bound:3, Prng.next_int prng ~bound:8);
+    (match Prng.next_int prng ~bound:10 with
+    | 0 -> (
+        match Engine.commit engine with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "commit: %a" Engine.pp_error e)
+    | 1 -> Engine.abort engine
+    | _ -> ());
+    let eb = Engine.event_base engine in
+    let at = Event_base.probe_now eb in
+    Rule_table.iter
+      (fun rule ->
+        let after = Rule.trigger_window_start rule in
+        let env = Ts.env eb ~window:(Window.make ~after ~upto:at) in
+        let expected = Ts.ts env ~at rule.Rule.spec.event
+        and got = Lift.ts rule.Rule.lift env ~at in
+        if expected <> got then
+          Alcotest.failf "seed %d step %d rule %s (%s): Ts %d, lift state %d"
+            seed step (Rule.name rule)
+            (Expr.to_string rule.Rule.spec.event)
+            expected got)
+      (Engine.rules engine)
+  done
+
+let test_engine_lift_agrees () =
+  for i = 0 to lift_seeds - 1 do
+    run_engine_lift_scenario ~seed:(9000 + i)
+  done
+
 let suite =
   [
     ( Printf.sprintf "%d scenarios x 4 engines agree" scenarios,
@@ -527,4 +704,11 @@ let suite =
     ( Printf.sprintf "%d scenarios: windowed = unwindowed" (scenarios + 40),
       `Quick,
       test_windowed_agrees );
+    ( Printf.sprintf "%d scenarios: incremental lift = Ts.lift = instance tree"
+        lift_seeds,
+      `Quick,
+      test_lift_agrees );
+    ( Printf.sprintf "%d scenarios: engine rules' lift states = Ts" lift_seeds,
+      `Quick,
+      test_engine_lift_agrees );
   ]

@@ -2005,6 +2005,19 @@ let test_sub_notify_differential () =
     run_sub_diff_seed ~domains:(if seed mod 2 = 0 then Some 0 else None) seed
   done
 
+
+(* A checkpoint cadence without a journal has nothing to checkpoint: the
+   server refuses it before binding, as [chimera run] does, instead of
+   serving without the bounded state the flag asked for. *)
+let test_checkpoint_needs_journal flag config () =
+  match Server.create { config with Server.port = 0 } with
+  | Ok srv ->
+      stop_server srv;
+      Alcotest.failf "%s without --journal was accepted" flag
+  | Error msg ->
+      Alcotest.(check string)
+        "names the flag" (flag ^ " requires --journal") msg
+
 let suite =
   [
     Alcotest.test_case "payload round trip" `Quick test_payload_roundtrip;
@@ -2069,4 +2082,12 @@ let suite =
       test_loadgen_subscribe;
     Alcotest.test_case "differential: notify stream, 160 seeds" `Quick
       test_sub_notify_differential;
+    Alcotest.test_case "--checkpoint-every without --journal is refused"
+      `Quick
+      (test_checkpoint_needs_journal "--checkpoint-every"
+         { Server.default_config with Server.checkpoint_every = Some 5 });
+    Alcotest.test_case "--checkpoint-interval without --journal is refused"
+      `Quick
+      (test_checkpoint_needs_journal "--checkpoint-interval"
+         { Server.default_config with Server.checkpoint_interval = Some 1.0 });
   ]

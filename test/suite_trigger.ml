@@ -374,3 +374,182 @@ let condition_order_independent =
       eval atoms = eval chosen)
 
 let suite = suite @ [ condition_order_independent ]
+
+(* ------------------------------------------ incremental lift, engine level *)
+
+(* The Trigger Support probes instance nodes through each rule's
+   incremental lift state (Lift).  These cases pin its reset and default
+   behaviour where a plain recompute cannot go wrong: a state that
+   survived the abort would miss the first firing, and one that ignored
+   window objects without its node's types the third; the rolled-back
+   block and the mid-transaction definition cover the other ways a
+   window's history reaches a rule. *)
+
+let ext name =
+  match Event_type.of_string name with
+  | Ok etype -> etype
+  | Error msg -> Alcotest.fail msg
+
+let ingest engine name oid =
+  ok (Engine.ingest_event engine ~etype:(ext name) ~oid:(Ident.Oid.of_int oid))
+
+(* A committed engine holding the rule [lifted] on [event] (plus [rules]),
+   and a counter of [lifted]'s executions. *)
+let lift_engine ?(schema = Schema.create ()) ?(rules = []) event =
+  let engine = Engine.create schema in
+  ignore (Engine.define_exn engine (noop_rule "lifted" event));
+  List.iter (fun spec -> ignore (Engine.define_exn engine spec)) rules;
+  ok (Engine.commit engine);
+  let fired = ref 0 in
+  Engine.set_on_execution engine (fun name ->
+      if String.equal name "lifted" then incr fired);
+  (engine, fired)
+
+(* { (-=a) + c }: the abort undoes [a] on o1, and [x] on o2 and [c] on o3
+   take its instants.  No object of the new window saw [a], so the rule
+   fires — a state still holding o1's [a] would read the negation false. *)
+let test_lift_restarts_after_abort () =
+  let engine, fired =
+    lift_engine
+      (Expr.conj
+         (Expr.Inst (Expr.I_not (Expr.I_prim (ext "a"))))
+         (Expr.prim (ext "c")))
+  in
+  ingest engine "a" 1;
+  Alcotest.(check int) "a on o1 holds the rule off" 0 !fired;
+  Engine.abort engine;
+  ingest engine "x" 2;
+  ingest engine "c" 3;
+  Alcotest.(check int) "fires once over the reissued instants" 1 !fired
+
+(* The same shape over store events, with the undoing done by a block
+   rollback: [spawn]'s action creates an item, then fails, and the whole
+   action block — the item's creation with it — rolls back. *)
+let test_lift_after_rolled_back_block () =
+  let schema = Schema.create () in
+  List.iter
+    (fun name ->
+      match Schema.define schema ~name ~attributes:[] () with
+      | Ok _ -> ()
+      | Error _ -> Alcotest.fail "schema")
+    [ "item"; "go"; "other" ];
+  let spawn =
+    {
+      (noop_rule "spawn" (Expr.prim (Event_type.create ~class_name:"go"))) with
+      Rule.action =
+        [
+          Action.A_create { class_name = "item"; attrs = []; bind = None };
+          Action.A_modify
+            {
+              var = "Unbound";
+              attribute = "n";
+              value = Query.Term (Query.Const (Value.Int 1));
+            };
+        ];
+    }
+  in
+  let engine, fired =
+    lift_engine ~schema ~rules:[ spawn ]
+      (Expr.conj
+         (Expr.Inst
+            (Expr.I_not (Expr.I_prim (Event_type.create ~class_name:"item"))))
+         (Expr.prim (Event_type.create ~class_name:"other")))
+  in
+  let create class_name = Operation.Create { class_name; attrs = [] } in
+  (match Engine.execute_line engine [ create "go" ] with
+  | Ok () -> Alcotest.fail "the failing action should fail the line"
+  | Error _ -> ());
+  let items = Object_store.extent (Engine.store engine) ~class_name:"item" in
+  Alcotest.(check int) "no item survived the rollback" 0 (List.length items);
+  ok (Engine.execute_line engine [ create "other" ]);
+  Alcotest.(check int) "fires once after the rollback" 1 !fired
+
+(* { a ,= -=b }: every object without [a] or [b] activates [-=b], so a
+   lone [c] on o1 fires the rule — a state that tracks only objects that
+   saw its node's types has no object to lift. *)
+let test_lift_counts_untyped_objects () =
+  let engine, fired =
+    lift_engine
+      (Expr.Inst
+         (Expr.I_or
+            (Expr.I_prim (ext "a"), Expr.I_not (Expr.I_prim (ext "b")))))
+  in
+  ingest engine "c" 1;
+  Alcotest.(check int) "a lone c on o1 fires" 1 !fired
+
+(* A rule defined mid-transaction starts its window at the transaction
+   start: its first probe folds in the backlog of its types. *)
+let test_lift_defined_over_backlog () =
+  let engine = Engine.create (Schema.create ()) in
+  ok (Engine.commit engine);
+  let fired = ref 0 in
+  Engine.set_on_execution engine (fun _ -> incr fired);
+  ingest engine "a" 1;
+  ingest engine "b" 1;
+  ignore
+    (Engine.define_exn engine
+       (noop_rule "late"
+          (Expr.Inst
+             (Expr.i_seq (Expr.I_prim (ext "a")) (Expr.I_prim (ext "b"))))));
+  ingest engine "x" 2;
+  Alcotest.(check int) "fires over the backlog" 1 !fired
+
+(* The lift counter-budget guard (runs in CI): one instance rule over a
+   window of 10 and of 10,000 objects re-evaluates [ots] at most once per
+   arrival of its node's types — a regression that folds the window's
+   objects again at a probe, or restarts the state needlessly, blows the
+   budget in proportion to the population. *)
+let test_lift_counter_budget () =
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
+  let updates = Obs.Metrics.counter "ts.lift_updates" in
+  let run objects =
+    let engine, fired =
+      lift_engine
+        (Expr.Inst
+           (Expr.i_seq (Expr.I_prim (ext "a")) (Expr.I_prim (ext "b"))))
+    in
+    for oid = 1 to objects do
+      ingest engine "x" oid
+    done;
+    (* Pairs: [a] on one object, then [b] on the same object every third
+       pair (the rule fires and its window restarts) and on the next one
+       otherwise (the window keeps growing). *)
+    let arrivals = 400 in
+    let before = Obs.Metrics.counter_value updates in
+    for i = 0 to arrivals - 1 do
+      let k = i / 2 in
+      let shift = if i mod 2 = 1 && k mod 3 > 0 then 1 else 0 in
+      ingest engine
+        (if i mod 2 = 0 then "a" else "b")
+        (1 + (((k * 7919) + shift) mod objects))
+    done;
+    let n = Obs.Metrics.counter_value updates - before in
+    if n > arrivals then
+      Alcotest.failf "ts.lift_updates budget exceeded over %d objects: %d > %d"
+        objects n arrivals;
+    Alcotest.(check bool)
+      (Printf.sprintf "the state folded arrivals in (%d objects)" objects)
+      true (n > 0);
+    Alcotest.(check bool)
+      (Printf.sprintf "the rule fired (%d objects)" objects)
+      true (!fired > 0)
+  in
+  run 10;
+  run 10_000
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "lift state restarts after an abort" `Quick
+        test_lift_restarts_after_abort;
+      Alcotest.test_case "lift state after a rolled-back action block" `Quick
+        test_lift_after_rolled_back_block;
+      Alcotest.test_case "lift counts objects without its types" `Quick
+        test_lift_counts_untyped_objects;
+      Alcotest.test_case "lift over a mid-transaction definition's backlog"
+        `Quick test_lift_defined_over_backlog;
+      Alcotest.test_case "lift counter budget (CI guard)" `Quick
+        test_lift_counter_budget;
+    ]
