@@ -31,7 +31,7 @@ let calculus_detector ~filtered exprs =
       (fun i e ->
         let relevant =
           (not filtered)
-          || Relevance.relevant_endpoint relevances.(i) ~occurrence:etype
+          || Relevance.relevant relevances.(i) ~occurrence:etype
         in
         if relevant then begin
           let env =

@@ -44,7 +44,7 @@ let make_optimizer_tests () =
     Test.make ~name:"e2/derive-V(E)"
       (Staged.stage (fun () -> Simplify.v_of_expr expr));
     Test.make ~name:"e2/relevance-check"
-      (Staged.stage (fun () -> Relevance.relevant_exact relevance ~occurrence));
+      (Staged.stage (fun () -> Relevance.relevant relevance ~occurrence));
   ]
 
 let make_baseline_tests () =

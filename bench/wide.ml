@@ -7,7 +7,10 @@
    wake still visits all N rules after every block; the indexed wake
    drains only the one subscribed rule.  The table reports how checks,
    probes and wall-clock scale as N grows 10 -> 100 -> 1000 under each
-   mode: per-event work should stay flat under the indexed wake. *)
+   mode: per-event work should stay flat under the indexed wake.  A
+   second rule shape, create(c_i) + -delete(c_i), has a negative
+   variation in V(E); it must be woken and probed at its creates only,
+   like the bare create. *)
 
 open Core
 
@@ -26,11 +29,21 @@ let schema n =
   done;
   s
 
-let watch_rule i =
+type shape = Create | Negation
+
+let shape_name = function Create -> "create" | Negation -> "negation"
+
+let watch_rule shape i =
+  let class_name = class_name i in
+  let create = Expr.prim (Event_type.create ~class_name) in
   {
     Rule.name = Printf.sprintf "watch%d" i;
     target = None;
-    event = Expr.prim (Event_type.create ~class_name:(class_name i));
+    event =
+      (match shape with
+      | Create -> create
+      | Negation ->
+          Expr.conj create (Expr.not_ (Expr.prim (Event_type.delete ~class_name))));
     condition = [];
     action = [];
     coupling = Rule.Immediate;
@@ -40,6 +53,7 @@ let watch_rule i =
 
 type row = {
   n : int;
+  shape : shape;
   mode : string;
   wall_ns : float;
   checks : int;
@@ -52,7 +66,7 @@ type row = {
   evals : int;
 }
 
-let run ~wake ~mode n =
+let run ~shape ~wake ~mode n =
   let config =
     {
       Engine.default_config with
@@ -61,7 +75,7 @@ let run ~wake ~mode n =
   in
   let engine = Engine.create ~config (schema n) in
   for i = 0 to n - 1 do
-    ignore (Engine.define_exn engine (watch_rule i))
+    ignore (Engine.define_exn engine (watch_rule shape i))
   done;
   let evals0 = Obs.Metrics.counter_value (Obs.Metrics.counter "ts.evals") in
   let wall_ns, () =
@@ -84,6 +98,7 @@ let run ~wake ~mode n =
   let t = s.Engine.trigger_stats in
   {
     n;
+    shape;
     mode;
     wall_ns;
     checks = t.Trigger_support.checks;
@@ -102,25 +117,30 @@ let e11 () =
   print_endline "== E11: wide rule sets (sweep vs indexed wake) ==";
   Printf.printf "   %d lines per run, commit every %d, one create per line,\n"
     lines commit_every;
-  print_endline "   N disjoint rule/event types, round-robin traffic.";
+  print_endline "   N disjoint rule/event types, round-robin traffic;";
+  print_endline "   rules: create(c_i), or create(c_i) + -delete(c_i).";
   let rows =
     List.concat_map
-      (fun n ->
-        [ run ~wake:Trigger_support.Sweep ~mode:"sweep" n;
-          run ~wake:Trigger_support.Indexed ~mode:"indexed" n ])
-      sizes
+      (fun shape ->
+        List.concat_map
+          (fun n ->
+            [ run ~shape ~wake:Trigger_support.Sweep ~mode:"sweep" n;
+              run ~shape ~wake:Trigger_support.Indexed ~mode:"indexed" n ])
+          sizes)
+      [ Create; Negation ]
   in
   let table =
     Pretty.table ~title:"E11: per-mode totals over 1200 lines"
       ~header:
-        [ "N"; "wake"; "wall"; "checks"; "probes"; "ts evals"; "woken";
-          "idle"; "fired" ]
+        [ "rules"; "N"; "wake"; "wall"; "checks"; "probes"; "ts evals";
+          "woken"; "idle"; "fired" ]
       ()
   in
   List.iter
     (fun r ->
       Pretty.add_row table
         [
+          shape_name r.shape;
           Pretty.int_cell r.n;
           r.mode;
           Pretty.ns_cell r.wall_ns;
@@ -133,28 +153,36 @@ let e11 () =
         ])
     rows;
   Pretty.print table;
-  (* Headline ratio: wall-clock sweep/indexed per N. *)
-  let find mode n = List.find (fun r -> r.n = n && r.mode = mode) rows in
+  (* Headline ratio: wall-clock sweep/indexed per shape and N. *)
+  let find shape mode n =
+    List.find (fun r -> r.shape = shape && r.n = n && r.mode = mode) rows
+  in
   let ratio =
-    Pretty.table ~title:"E11: sweep / indexed" ~header:[ "N"; "wall"; "checks" ]
+    Pretty.table ~title:"E11: sweep / indexed"
+      ~header:[ "rules"; "N"; "wall"; "checks" ]
       ()
   in
   List.iter
-    (fun n ->
-      let s = find "sweep" n and i = find "indexed" n in
-      Pretty.add_row ratio
-        [
-          Pretty.int_cell n;
-          Pretty.ratio_cell s.wall_ns i.wall_ns;
-          Pretty.ratio_cell (float_of_int s.checks) (float_of_int i.checks);
-        ])
-    sizes;
+    (fun shape ->
+      List.iter
+        (fun n ->
+          let s = find shape "sweep" n and i = find shape "indexed" n in
+          Pretty.add_row ratio
+            [
+              shape_name shape;
+              Pretty.int_cell n;
+              Pretty.ratio_cell s.wall_ns i.wall_ns;
+              Pretty.ratio_cell (float_of_int s.checks) (float_of_int i.checks);
+            ])
+        sizes)
+    [ Create; Negation ];
   Pretty.print ratio;
   Bench_util.write_json ~experiment:"e11"
     (List.map
        (fun r ->
          Bench_util.J_obj
            [
+             ("rules", Bench_util.J_string (shape_name r.shape));
              ("n", Bench_util.J_int r.n);
              ("wake", Bench_util.J_string r.mode);
              ("wall_ns", Bench_util.J_float r.wall_ns);

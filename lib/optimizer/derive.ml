@@ -14,7 +14,18 @@
    the min-lifted instance negation).  Precedence propagates only through
    its second operand: a fresh occurrence of the first operand carries a
    timestamp later than the second operand's activation instant and so can
-   never newly satisfy the precedence. *)
+   never newly satisfy the precedence.
+
+   Two deviations from Fig. 6 for [A < B] (and [<=]), both about the
+   instant at which A is evaluated — B's activation timestamp:
+
+   - a negation in B can stamp B with the current instant, so A is then
+     evaluated now and its own arrivals count: the variation also
+     propagates through A;
+   - a negation in A makes A's sign non-monotone in that instant, and any
+     arrival that moves B's stamp — a new B, or one that pulls it back,
+     as C does in [(-B + A) < (A , -C)] — can flip A either way: B is
+     then required with both polarities. *)
 
 open Chimera_calculus
 
@@ -37,6 +48,10 @@ let is_primitive = function
   | On_inst (_, Expr.I_prim _) -> true
   | _ -> false
 
+(* The polarity the second operand of a precedence is required with. *)
+let seq_second pol ~first_negated =
+  if first_negated then Variation.Both else pol
+
 (* One application of a Fig. 6 rule; primitives are left untouched. *)
 let expand = function
   | On_set (_, Expr.Prim _) as p -> [ p ]
@@ -44,13 +59,11 @@ let expand = function
   | On_set (pol, Expr.And (a, b)) | On_set (pol, Expr.Or (a, b)) ->
       [ On_set (pol, a); On_set (pol, b) ]
   | On_set (pol, Expr.Seq (a, b)) ->
-      (* Fig. 6 propagates only through the second operand, which is sound
-         when its activation instant is a past event instant.  A negation
-         inside the second operand can stamp it with the *current* instant,
-         un-freezing the first operand's evaluation point, so we then
-         conservatively propagate through both. *)
-      if Expr.has_negation b then [ On_set (pol, a); On_set (pol, b) ]
-      else [ On_set (pol, b) ]
+      (* See the header for the two deviations from Fig. 6. *)
+      let on_b =
+        On_set (seq_second pol ~first_negated:(Expr.has_negation a), b)
+      in
+      if Expr.has_negation b then [ On_set (pol, a); on_b ] else [ on_b ]
   | On_set (pol, Expr.Inst (Expr.I_not e)) ->
       (* min-lifted: the set-level expression gains a positive variation
          when every object loses the negated body. *)
@@ -61,8 +74,10 @@ let expand = function
   | On_inst (pol, Expr.I_and (a, b)) | On_inst (pol, Expr.I_or (a, b)) ->
       [ On_inst (pol, a); On_inst (pol, b) ]
   | On_inst (pol, Expr.I_seq (a, b)) ->
-      if Expr.inst_has_negation b then [ On_inst (pol, a); On_inst (pol, b) ]
-      else [ On_inst (pol, b) ]
+      let on_b =
+        On_inst (seq_second pol ~first_negated:(Expr.inst_has_negation a), b)
+      in
+      if Expr.inst_has_negation b then [ On_inst (pol, a); on_b ] else [ on_b ]
 
 let to_variation = function
   | On_set (polarity, Expr.Prim etype) ->

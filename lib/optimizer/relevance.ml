@@ -1,16 +1,14 @@
 (* The relevance filter the Trigger Support consults (Section 5.1).
 
    A new event occurrence of type [p] constitutes a positive variation of
-   [p] (at both granularities).  Under endpoint detection — evaluate ts at
-   the current instant, the behaviour sketched in the implementation
-   section — recomputation for a rule can be skipped when V(E) does not
-   require a positive variation of any type the occurrence matches.
-
-   Under the exact existential semantics of Section 4.4, a rule whose V(E)
-   contains negative variations (a negation somewhere relevant) can become
-   triggered by the mere passage of activity (the probe at the window's
-   lower bound), so the filter conservatively treats every arrival as
-   relevant for such rules. *)
+   [p] (at both granularities), so recomputation for a rule can be skipped
+   when V(E) does not require a positive variation of any type the
+   occurrence matches.  The one case V(E) cannot see is an expression
+   whose sign moves without any occurrence of its own types: negation-
+   dominated ones, those active on the empty prefix the exact semantics
+   probes at the window's lower bound, and those with an instance node
+   that an object new to the window flips.  Every arrival is relevant to
+   those.  The same filter is sound for both detection modes. *)
 
 open Chimera_event
 open Chimera_calculus
@@ -55,9 +53,20 @@ let rec active_on_empty_prefix = function
   | Expr.Inst (Expr.I_not _) -> true
   | Expr.Inst _ -> false
 
+(* Does an instance node change sign when an object with none of its
+   types joins the window's universe?  A max-lift does when its body is
+   active on such an object, say [-=B += -=A]; a min-lift [-=e] does when
+   [e] is. *)
+let rec flipped_by_fresh_objects = function
+  | Expr.Prim _ -> false
+  | Expr.Not e -> flipped_by_fresh_objects e
+  | Expr.And (a, b) | Expr.Or (a, b) | Expr.Seq (a, b) ->
+      flipped_by_fresh_objects a || flipped_by_fresh_objects b
+  | Expr.Inst (Expr.I_not body) -> active_without_occurrences_inst body
+  | Expr.Inst body -> active_without_occurrences_inst body
+
 type t = {
   v : Simplify.v_set;
-  has_negative : bool;
   always_relevant : bool;
   (* Positive-variation subscriptions, precomputed for the fast path. *)
   positive : Event_type.t list;
@@ -75,26 +84,22 @@ let of_expr e =
   in
   {
     v;
-    has_negative = Simplify.has_negative v;
     always_relevant =
-      active_without_occurrences e || active_on_empty_prefix e;
+      active_without_occurrences e || active_on_empty_prefix e
+      || flipped_by_fresh_objects e;
     positive;
   }
 
 let v_set t = t.v
-let has_negative t = t.has_negative
 let always_relevant t = t.always_relevant
 let positive_types t = t.positive
 
 (* [occurrence] is the (possibly attribute-qualified) type of an arriving
    event; a subscription on the unqualified modify matches it too. *)
-let relevant_endpoint t ~occurrence =
+let relevant t ~occurrence =
   t.always_relevant
   || List.exists
        (fun subscription -> Event_type.generalizes ~subscription ~occurrence)
        t.positive
-
-let relevant_exact t ~occurrence =
-  t.has_negative || relevant_endpoint t ~occurrence
 
 let pp ppf t = Simplify.pp ppf t.v

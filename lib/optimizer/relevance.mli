@@ -11,24 +11,24 @@ type t
 val of_expr : Expr.set -> t
 
 val v_set : t -> Simplify.v_set
-val has_negative : t -> bool
 
 val always_relevant : t -> bool
-(** The expression can be active on a window with no occurrence of its own
-    primitive types (negation-dominated); every arrival is then relevant. *)
+(** The sign of ts can move with no occurrence of the expression's own
+    primitive types: it is active on a window without them
+    (negation-dominated) or on the empty prefix, or an object new to the
+    window flips one of its instance nodes.  Every arrival is then
+    relevant. *)
 
 val positive_types : t -> Event_type.t list
-(** The positive-variation subscriptions of V(E): the event types whose
-    arrival can flip the rule's ts sign when neither [has_negative] nor
-    [always_relevant] holds — the reverse-index subscription set. *)
+(** The positive-variation subscriptions of V(E): unless
+    [always_relevant] holds, ts turns positive only at an arrival of one
+    of these types, so positive at [now] ⇒ positive at its newest
+    positive-type arrival — the reverse-index subscription set and the
+    probe instants of an exact check. *)
 
-val relevant_endpoint : t -> occurrence:Event_type.t -> bool
-(** Sound for endpoint detection (evaluate ts at the current instant). *)
-
-val relevant_exact : t -> occurrence:Event_type.t -> bool
-(** Sound for the exact existential semantics of Section 4.4; additionally
-    treats every arrival as relevant when V(E) contains negative
-    variations. *)
+val relevant : t -> occurrence:Event_type.t -> bool
+(** Can an arrival of this type turn ts positive?  Sound for both endpoint
+    detection and the exact existential semantics of Section 4.4. *)
 
 val active_without_occurrences : Expr.set -> bool
 (** Sign of ts on a window with activity but no occurrence of the

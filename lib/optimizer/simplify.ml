@@ -34,13 +34,6 @@ let mem = Event_type.Map.mem
 
 let polarity_of v etype = Event_type.Map.find_opt etype v
 
-let has_negative v =
-  Event_type.Map.exists
-    (fun _ pol -> match pol with
-      | Variation.Negative | Variation.Both -> true
-      | Variation.Positive -> false)
-    v
-
 let cardinal = Event_type.Map.cardinal
 
 let pp ppf v =

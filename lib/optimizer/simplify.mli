@@ -16,7 +16,6 @@ val v_of_expr : Expr.set -> v_set
 val bindings : v_set -> (Event_type.t * Variation.polarity) list
 val mem : Event_type.t -> v_set -> bool
 val polarity_of : v_set -> Event_type.t -> Variation.polarity option
-val has_negative : v_set -> bool
 val cardinal : v_set -> int
 val pp : Format.formatter -> v_set -> unit
 val to_string : v_set -> string

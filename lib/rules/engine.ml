@@ -646,8 +646,10 @@ let execute_line_affected t ops : (Ident.Oid.t option list, error) result =
    operation is involved: the occurrence is journaled as an "ev" record
    (replayed into the event base independently of any "op"), the engine
    assigns the instant, and triggering/rule processing run exactly as
-   after [execute_line].  The block guard makes a failing rule cascade
-   take the occurrence (and any matured timers) with it. *)
+   after [execute_line].  The cascade runs after the recording block has
+   closed, so a failing rule action rolls back only its own block: the
+   occurrence stays recorded and journaled, as a failing [execute_line]
+   leaves its operations applied, and [abort] removes it. *)
 let ingest_event t ~etype ~oid : (unit, error) result =
   t.stats.lines <- t.stats.lines + 1;
   Obs.Metrics.incr c_lines;

@@ -131,8 +131,10 @@ val ingest_event :
     frames).  No store operation runs: the occurrence is journaled as an
     ["ev"] record, the engine assigns the instant, and immediate rules
     process to quiescence exactly as after {!execute_line}.  On [Error]
-    the occurrence (and any matured timer events) roll back with the
-    block. *)
+    from the rule cascade only the failing action's block rolls back:
+    the occurrence (and any matured timer events) stays recorded and
+    journaled, as a failing {!execute_line} leaves its operations
+    applied, and the transaction stays open — {!abort} removes it. *)
 
 val commit : t -> (unit, error) result
 (** Processes deferred (and remaining immediate) rules, then starts a

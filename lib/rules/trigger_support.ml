@@ -83,14 +83,13 @@ let default_config = { detection = Exact; optimizer = true; wake = Indexed }
 (* ------------------------------------------------------ indexed wake *)
 
 (* The reverse V(E) index over whole rules: each rule subscribes to the
-   positive-variation types of its V(E) — or to every arrival when type
-   filtering is unsound for it (negative variations, or activation on
-   windows without own occurrences; the conservative union of what either
-   detection mode needs.  An arriving occurrence marks exactly the
-   subscribed rules dirty, and the post-block wake drains the dirty set
-   instead of sweeping the table.  Marking is O(1) and deduplicated by
-   the rule's [wake_pending] flag, so the dirty set is bounded by the
-   rule count whatever the event volume. *)
+   positive-variation types of its V(E) — or to every arrival when it is
+   always-relevant, the one case type filtering is unsound for, in either
+   detection mode.  An arriving occurrence marks exactly the subscribed
+   rules dirty, and the post-block wake drains the dirty set instead of
+   sweeping the table.  Marking is O(1) and deduplicated by the rule's
+   [wake_pending] flag, so the dirty set is bounded by the rule count
+   whatever the event volume. *)
 module Wake = struct
   type t = {
     subs : Rule.t list Event_type.Tbl.t;
@@ -111,8 +110,8 @@ module Wake = struct
 
   let subscribe t rule =
     let relevance = Rule.relevance rule in
-    if Relevance.has_negative relevance || Relevance.always_relevant relevance
-    then t.wildcard <- rule :: t.wildcard
+    if Relevance.always_relevant relevance then
+      t.wildcard <- rule :: t.wildcard
     else
       List.iter
         (fun ty ->
@@ -164,21 +163,17 @@ let rule_active eb ~window ~at rule =
   Lift.ts rule.Rule.lift (Ts.env eb ~window) ~at > 0
 
 (* Is there, among the occurrences in (from, upto], one whose type is
-   relevant to the rule under the configured detection mode? *)
-let relevant_arrival config eb rule ~from ~upto =
+   relevant to the rule? *)
+let relevant_arrival eb rule ~from ~upto =
   if Time.( >= ) from upto then false
   else begin
     let window = Window.make ~after:from ~upto in
     let relevance = Rule.relevance rule in
-    let relevant =
-      match config.detection with
-      | Exact -> fun occ -> Relevance.relevant_exact relevance ~occurrence:occ
-      | Endpoint ->
-          fun occ -> Relevance.relevant_endpoint relevance ~occurrence:occ
-    in
     let found = ref false in
     Event_base.iter_in eb ~window (fun occ ->
-        if (not !found) && relevant (Occurrence.etype occ) then found := true);
+        if (not !found)
+           && Relevance.relevant relevance ~occurrence:(Occurrence.etype occ)
+        then found := true);
     !found
   end
 
@@ -204,7 +199,7 @@ let check_rule config stats eb rule =
             let skip =
               config.optimizer
               && Time.( > ) rule.Rule.last_recomputation Time.origin
-              && not (relevant_arrival config eb rule ~from:since ~upto:now)
+              && not (relevant_arrival eb rule ~from:since ~upto:now)
             in
             if skip then begin
               stats.skipped <- stats.skipped + 1;
@@ -223,19 +218,18 @@ let check_rule config stats eb rule =
         | Exact ->
             let first_scan = Time.equal rule.Rule.scan_from after in
             let relevance = Rule.relevance rule in
-            (* Delta-driven candidate restriction: when the rule's sign
-               can only flip at an arrival of one of its positive V(E)
-               types (no negative variations, inactive on windows without
-               own occurrences — the very property the V(E) skip below
-               already relies on), the probe instants come straight off
-               the posting lists: O(log n + matches) instead of scanning
-               the whole uncovered window.  The window's lower-bound and
-               current-instant probes of a first scan are unnecessary
-               here: such a rule is inactive on an empty prefix, and its
-               sign at [now] equals its sign at its newest own arrival. *)
+            (* Delta-driven candidate restriction: unless the rule is
+               always-relevant, its sign can only turn positive at an
+               arrival of one of its positive V(E) types (the very
+               property the V(E) skip below relies on), so the probe
+               instants come straight off the posting lists:
+               O(log n + matches) instead of scanning the whole uncovered
+               window.  The window's lower-bound and current-instant
+               probes of a first scan are unnecessary here: such a rule
+               is inactive on an empty prefix, and positive at [now] ⇒
+               positive at its newest positive-type arrival. *)
             let restricted =
               config.wake = Indexed && config.optimizer
-              && (not (Relevance.has_negative relevance))
               && not (Relevance.always_relevant relevance)
             in
             if restricted then begin
@@ -266,8 +260,8 @@ let check_rule config stats eb rule =
             else
             let skip =
               config.optimizer
-              && (not (relevant_arrival config eb rule ~from:rule.Rule.scan_from ~upto:now))
-              && not (first_scan && Relevance.always_relevant relevance)
+              && not
+                   (relevant_arrival eb rule ~from:rule.Rule.scan_from ~upto:now)
             in
             if skip then begin
               stats.skipped <- stats.skipped + 1;

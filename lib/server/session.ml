@@ -462,9 +462,11 @@ module Manager = struct
      loop — field validation, etype-id resolution, engine ingestion —
      runs here, on the shard's worker domain, not the reactor.  A BATCH
      is exactly that many single-event lines with ONE reply: the rules
-     every record executed, in order, or the first error — preceding
-     records stay applied and the transaction stays open (the client
-     decides between COMMIT and ABORT).  The wire timestamp is the
+     every record executed, in order, or the first error.  The records
+     before it stay applied, and so does the failing record itself when
+     its rule cascade failed (its occurrence stays recorded and
+     journaled); the transaction stays open and the client decides
+     between COMMIT and ABORT.  The wire timestamp is the
      client's clock, carried for tooling; the engine assigns its own
      instants, so replicas and replays agree regardless of client
      clocks. *)

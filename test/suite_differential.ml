@@ -170,14 +170,19 @@ let test_verdicts_agree_after_restart () =
 
 (* ------------------------------------------- wake-mode differential *)
 
-(* The indexed wake (subscription table + dirty-set drain) against the
-   per-block sweep, at full engine level: the same seeded rules and the
-   same operation history through two engines differing only in
-   [Trigger_support.wake] must show identical rule behaviour after every
-   line — same considerations, executions, firings and recorded events —
-   and identical ts values for every rule expression at the end.  The
-   160 seeds reuse the two seed ranges above; the second range commits
-   mid-stream so the dirty set also survives a window restart. *)
+(* The production trigger path — indexed wake, V(E) on — and the sweep
+   with V(E) on, against the plainest one: the per-block sweep with the
+   optimizer off, which evaluates every rule after every block and shares
+   no V(E) code with what it checks.  Each seed runs under both detection
+   modes, over full-profile rules (instance operators and min-lifts),
+   consuming and preserving, some of whose actions create a fresh object.
+   The traffic mixes ingested external events over four types and six
+   objects (one type no rule mentions) with multi-op store lines, commits
+   and aborts.  After every step each checked engine must have executed
+   the same rules in the same order as the oracle and agree with it on the
+   step's outcome, considerations, executions, events and firings; at the
+   end, every rule expression must have the same ts over their logs.  The
+   second seed range commits and aborts four times as often. *)
 
 let wake_rule name event =
   {
@@ -200,107 +205,202 @@ let to_domain =
       | "evB(obj)" -> Domain.modify_stock_quantity
       | _ -> Domain.delete_stock)
 
-let wake_engine ~wake exprs =
-  let config =
-    {
-      Engine.default_config with
-      Engine.trigger =
-        { Trigger_support.default_config with Trigger_support.wake };
-    }
-  in
-  let engine = Engine.create ~config (Domain.schema ()) in
-  List.iteri
-    (fun i e ->
-      match Engine.define engine (wake_rule (Printf.sprintf "r%d" i) e) with
+let define_all engine specs =
+  List.iter
+    (fun spec ->
+      match Engine.define engine spec with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "define: %a" Engine.pp_error e)
-    exprs;
+    specs
+
+let wake_engine exprs =
+  let engine = Engine.create (Domain.schema ()) in
+  define_all engine
+    (List.mapi (fun i e -> wake_rule (Printf.sprintf "r%d" i) e) exprs);
   engine
 
-let wake_step engine (kind, idx) =
+(* [kind]: 0 creates, 1 modifies the quantity, 2 deletes, 3 modifies the
+   minquantity (an event only the unqualified modify matches). *)
+let stock_op engine (kind, idx) =
   let live = Object_store.extent (Engine.store engine) ~class_name:"stock" in
-  let op =
-    match (kind, live) with
-    | 0, _ | _, [] ->
-        Domain.new_stock ~quantity:(10 + idx) ~maxquantity:100 ~minquantity:0
-    | 1, l ->
-        Operation.Modify
-          {
-            oid = List.nth l (idx mod List.length l);
-            attribute = "quantity";
-            value = Value.Int idx;
-          }
-    | _, l -> Operation.Delete { oid = List.nth l (idx mod List.length l) }
-  in
-  match Engine.execute_line engine [ op ] with
+  let pick l = List.nth l (idx mod List.length l) in
+  match (kind, live) with
+  | 0, _ | _, [] ->
+      Domain.new_stock ~quantity:(10 + idx) ~maxquantity:100 ~minquantity:0
+  | 1, l ->
+      Operation.Modify
+        { oid = pick l; attribute = "quantity"; value = Value.Int idx }
+  | 3, l ->
+      Operation.Modify
+        { oid = pick l; attribute = "minquantity"; value = Value.Int idx }
+  | _, l -> Operation.Delete { oid = pick l }
+
+let wake_step engine opspec =
+  match Engine.execute_line engine [ stock_op engine opspec ] with
   | Ok () -> ()
   | Error e -> Alcotest.failf "line: %a" Engine.pp_error e
 
-let wake_fingerprint engine =
-  let s = Engine.statistics engine in
-  ( s.Engine.considerations,
-    s.Engine.executions,
-    s.Engine.events,
-    s.Engine.trigger_stats.Trigger_support.fired )
+let ingested = Array.of_list (Domain.abstract_alphabet 4)
 
-let run_wake_scenario ~seed ~commit_at =
+(* The rules' alphabet: three of the four ingested types and the stock
+   events, the unqualified modify among them. *)
+let wake_alphabet =
+  [
+    ingested.(0);
+    ingested.(1);
+    ingested.(2);
+    Domain.create_stock;
+    Domain.modify_stock_quantity;
+    Event_type.modify ~class_name:"stock" ();
+    Domain.delete_stock;
+  ]
+
+let spawn_show =
+  [ Action.A_create { class_name = "show"; attrs = []; bind = None } ]
+
+type wake_step =
+  | Ingest of int * int  (** type index, oid *)
+  | Line of (int * int) list  (** stock ops, resolved per engine *)
+  | Commit
+  | Abort
+
+let gen_wake_step prng ~tx_bound =
+  match Prng.next_int prng ~bound:tx_bound with
+  | 0 -> Commit
+  | 1 -> Abort
+  | _ ->
+      if Prng.next_int prng ~bound:5 < 3 then
+        Ingest (Prng.next_int prng ~bound:4, 1 + Prng.next_int prng ~bound:6)
+      else
+        Line
+          (List.init
+             (1 + Prng.next_int prng ~bound:3)
+             (fun _ ->
+               (Prng.next_int prng ~bound:4, Prng.next_int prng ~bound:8)))
+
+type wake_run = { engine : Engine.t; executed : string list ref }
+
+let wake_run trigger specs =
+  let config =
+    { Engine.default_config with Engine.trigger; max_rule_executions = 20 }
+  in
+  let engine = Engine.create ~config (Domain.schema ()) in
+  define_all engine specs;
+  let executed = ref [] in
+  Engine.set_on_execution engine (fun name -> executed := name :: !executed);
+  { engine; executed }
+
+let apply_wake_step run step =
+  let outcome = function
+    | Ok () -> "ok"
+    | Error e -> Fmt.str "%a" Engine.pp_error e
+  in
+  match step with
+  | Ingest (ty, oid) ->
+      outcome
+        (Engine.ingest_event run.engine ~etype:ingested.(ty)
+           ~oid:(Ident.Oid.of_int oid))
+  | Line ops ->
+      outcome
+        (Engine.execute_line run.engine (List.map (stock_op run.engine) ops))
+  | Commit -> outcome (Engine.commit run.engine)
+  | Abort ->
+      Engine.abort run.engine;
+      "aborted"
+
+let run_wake_scenario ~seed ~tx_bound detection =
   let prng = Prng.create ~seed in
-  let alphabet = Domain.abstract_alphabet 3 in
-  let nexprs = 1 + (seed mod 4) in
+  let specs =
+    List.init
+      (2 + (seed mod 4))
+      (fun i ->
+        {
+          (wake_rule (Printf.sprintf "r%d" i)
+             (Expr_gen.gen prng ~profile:Expr_gen.full_profile
+                ~alphabet:wake_alphabet ~depth:(1 + (seed mod 4)) ()))
+          with
+          Rule.consumption =
+            (if Prng.next_bool prng then Rule.Consuming else Rule.Preserving);
+          action = (if Prng.next_int prng ~bound:3 = 0 then spawn_show else []);
+          priority = Prng.next_int prng ~bound:3;
+        })
+  in
+  let sweep ~optimizer =
+    { Trigger_support.detection; optimizer; wake = Trigger_support.Sweep }
+  in
+  let oracle = wake_run (sweep ~optimizer:false) specs in
+  (* The production path, and the sweep with V(E) on: it takes the V(E)
+     scan skip that the indexed wake leaves to always-relevant rules. *)
+  let checked =
+    [
+      ( "indexed",
+        wake_run { Trigger_support.default_config with detection } specs );
+      ("sweep with V(E)", wake_run (sweep ~optimizer:true) specs);
+    ]
+  in
+  let mode =
+    match detection with
+    | Trigger_support.Exact -> "exact"
+    | Trigger_support.Endpoint -> "endpoint"
+  in
+  let fingerprint run =
+    let s = Engine.statistics run.engine in
+    ( s.Engine.considerations,
+      s.Engine.executions,
+      s.Engine.events,
+      s.Engine.trigger_stats.Trigger_support.fired )
+  in
+  let describe run =
+    let c, x, v, f = fingerprint run in
+    Printf.sprintf "executed [%s], cons=%d exec=%d events=%d fired=%d"
+      (String.concat " " (List.rev !(run.executed)))
+      c x v f
+  in
   let exprs =
-    List.init nexprs (fun _ ->
-        to_domain
-          (Expr_gen.gen prng ~profile:Expr_gen.boolean_profile ~alphabet
-             ~depth:(1 + (seed mod 4)) ()))
+    String.concat "; "
+      (List.map (fun sp -> Expr.to_string sp.Rule.event) specs)
   in
-  let history =
-    List.init 25 (fun _ ->
-        (Prng.next_int prng ~bound:3, Prng.next_int prng ~bound:8))
-  in
-  let sweep = wake_engine ~wake:Trigger_support.Sweep exprs in
-  let indexed = wake_engine ~wake:Trigger_support.Indexed exprs in
-  List.iteri
-    (fun step opspec ->
-      wake_step sweep opspec;
-      wake_step indexed opspec;
-      (match commit_at with
-      | Some cut when step = cut ->
-          let ok = function
-            | Ok () -> ()
-            | Error e -> Alcotest.failf "commit: %a" Engine.pp_error e
-          in
-          ok (Engine.commit sweep);
-          ok (Engine.commit indexed)
-      | _ -> ());
-      if wake_fingerprint sweep <> wake_fingerprint indexed then
-        let c, x, v, f = wake_fingerprint sweep
-        and c', x', v', f' = wake_fingerprint indexed in
-        Alcotest.failf
-          "seed %d step %d: sweep cons=%d exec=%d events=%d fired=%d vs \
-           indexed cons=%d exec=%d events=%d fired=%d"
-          seed step c x v f c' x' v' f')
-    history;
-  (* ts agreement: the two engines' logs — each driven through a
-     different probe schedule — must give every rule expression the same
-     activation timestamp at the end. *)
-  let at = Event_base.probe_now (Engine.event_base sweep) in
+  for step = 0 to 29 do
+    let st = gen_wake_step prng ~tx_bound in
+    let a = apply_wake_step oracle st in
+    List.iter
+      (fun (name, run) ->
+        let b = apply_wake_step run st in
+        if a <> b || !(oracle.executed) <> !(run.executed)
+           || fingerprint oracle <> fingerprint run
+        then
+          Alcotest.failf
+            "seed %d %s step %d (%s): sweep without V(E) %s, %s; %s %s, %s"
+            seed mode step exprs a (describe oracle) name b (describe run))
+      checked
+  done;
+  let at = Event_base.probe_now (Engine.event_base oracle.engine) in
   List.iter
-    (fun e ->
-      let a = ts_over (Engine.event_base sweep) ~after:Time.origin ~at e in
-      let b = ts_over (Engine.event_base indexed) ~after:Time.origin ~at e in
-      if a <> b then
-        Alcotest.failf "seed %d expr %s: ts sweep=%d indexed=%d" seed
-          (Expr.to_string e) a b)
-    exprs
+    (fun sp ->
+      let e = sp.Rule.event in
+      let ts run =
+        ts_over (Engine.event_base run.engine) ~after:Time.origin ~at e
+      in
+      let a = ts oracle in
+      List.iter
+        (fun (name, run) ->
+          let b = ts run in
+          if a <> b then
+            Alcotest.failf "seed %d %s expr %s: ts sweep without V(E)=%d %s=%d"
+              seed mode (Expr.to_string e) a name b)
+        checked)
+    specs
 
 let test_wake_modes_agree () =
-  for i = 0 to scenarios - 1 do
-    run_wake_scenario ~seed:(1000 + i) ~commit_at:None
-  done;
-  for i = 0 to 39 do
-    let seed = 5000 + i in
-    run_wake_scenario ~seed ~commit_at:(Some (10 + (seed mod 10)))
-  done
+  List.iter
+    (fun detection ->
+      for i = 0 to scenarios - 1 do
+        run_wake_scenario ~seed:(1000 + i) ~tx_bound:40 detection
+      done;
+      for i = 0 to 39 do
+        run_wake_scenario ~seed:(5000 + i) ~tx_bound:10 detection
+      done)
+    [ Trigger_support.Exact; Trigger_support.Endpoint ]
 
 (* -------------------------------- windowed ≡ unwindowed differential *)
 
@@ -661,7 +761,7 @@ let run_engine_lift_scenario ~seed =
           (Expr_gen.gen prng ~profile:Expr_gen.full_profile ~alphabet
              ~depth:(1 + (seed mod 3)) ()))
   in
-  let engine = wake_engine ~wake:Trigger_support.Indexed exprs in
+  let engine = wake_engine exprs in
   for step = 0 to 29 do
     wake_step engine (Prng.next_int prng ~bound:3, Prng.next_int prng ~bound:8);
     (match Prng.next_int prng ~bound:10 with

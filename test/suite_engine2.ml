@@ -192,6 +192,45 @@ let test_remove_rule_stops_firing () =
   Alcotest.(check int) "silent after removal" 1
     (List.length (List.filter (String.equal "r") (tags engine)))
 
+(* A failing rule cascade after [ingest_event] rolls back only the failing
+   action's block: the occurrence stays recorded, as a failing
+   [execute_line] leaves its operations applied, and [abort] removes it. *)
+let test_ingest_error_keeps_occurrence () =
+  let engine = Engine.create (hierarchy_schema ()) in
+  let failing =
+    {
+      (log_rule "failing" "go") with
+      Rule.action =
+        [
+          Action.A_modify
+            {
+              var = "Unbound";
+              attribute = "tag";
+              value = Query.Term (Query.Const (Value.Str "x"));
+            };
+        ];
+    }
+  in
+  ignore (Engine.define_exn engine failing);
+  ok (Engine.commit engine);
+  let go =
+    match Event_type.of_string "go" with
+    | Ok etype -> etype
+    | Error msg -> Alcotest.fail msg
+  in
+  let recorded () =
+    List.length
+      (List.filter
+         (fun occ -> Event_type.equal (Occurrence.etype occ) go)
+         (Event_base.to_list (Engine.event_base engine)))
+  in
+  (match Engine.ingest_event engine ~etype:go ~oid:(Ident.Oid.of_int 1) with
+  | Ok () -> Alcotest.fail "the failing action should fail the ingest"
+  | Error _ -> ());
+  Alcotest.(check int) "the occurrence stays recorded" 1 (recorded ());
+  Engine.abort engine;
+  Alcotest.(check int) "abort removes it" 0 (recorded ())
+
 let suite =
   [
     Alcotest.test_case "migration events trigger rules" `Quick
@@ -206,4 +245,6 @@ let suite =
       test_rule_defined_mid_transaction;
     Alcotest.test_case "removing a rule stops it" `Quick
       test_remove_rule_stops_firing;
+    Alcotest.test_case "a failing cascade keeps the ingested occurrence"
+      `Quick test_ingest_error_keeps_occurrence;
   ]

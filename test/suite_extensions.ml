@@ -175,6 +175,26 @@ let test_negation_rules_always_reachable () =
   Alcotest.(check bool) "edge into negation rule" true
     (Analysis.may_trigger producer negation)
 
+(* A delete can activate (-modify + create) < (create , -delete): it pulls
+   the second operand back from the current instant to the create's
+   stamp, where the first operand may hold.  So a rule deleting stock may
+   trigger it. *)
+let test_negated_first_operand_edge () =
+  let producer =
+    rule "producer" ~event:"create(show)"
+      ~condition:[ Condition.Range { var = "S"; class_name = "stock" } ]
+      ~action:[ Action.A_delete { var = "S" } ]
+      ()
+  in
+  let target =
+    rule "target"
+      ~event:
+        "(-modify(stock) + create(stock)) < (create(stock) , -delete(stock))"
+      ~condition:noop_condition ~action:[] ()
+  in
+  Alcotest.(check bool) "edge into the precedence rule" true
+    (Analysis.may_trigger producer target)
+
 (* ------------------------------------------------------------ timers *)
 
 let test_periodic_timer () =
@@ -257,6 +277,8 @@ let suite =
     Alcotest.test_case "mutual cycle detected" `Quick test_mutual_cycle_detected;
     Alcotest.test_case "modify attribute matching" `Quick
       test_modify_attribute_matching;
+    Alcotest.test_case "a delete may trigger a negated-first precedence"
+      `Quick test_negated_first_operand_edge;
     Alcotest.test_case "negation rules always reachable" `Quick
       test_negation_rules_always_reachable;
     Alcotest.test_case "periodic timers" `Quick test_periodic_timer;

@@ -93,18 +93,26 @@ let run_config ?(wake = Trigger_support.Indexed) detection optimizer (es, h) =
   engine
 
 (* The headline guarantee of Section 5.1: the optimization is behaviour-
-   preserving.  Same rules, same traffic, identical consideration counts —
-   only the number of ts recomputations differs. *)
+   preserving, under either detection mode.  Same rules, same traffic,
+   identical consideration counts — only the number of ts recomputations
+   differs.  The reference is the sweep with the optimizer off: the
+   indexed wake subscribes rules by V(E) whatever the optimizer flag. *)
 let optimizer_transparent =
   Gen.qcheck ~count:150 "V(E) filtering never changes rule behaviour"
     arb_workload
     (fun w ->
-      let with_opt = run_config Trigger_support.Exact true w in
-      let without = run_config Trigger_support.Exact false w in
-      let a = Engine.statistics with_opt and b = Engine.statistics without in
-      a.Engine.considerations = b.Engine.considerations
-      && a.Engine.trigger_stats.Trigger_support.fired
-         = b.Engine.trigger_stats.Trigger_support.fired)
+      List.for_all
+        (fun detection ->
+          let with_opt = run_config detection true w in
+          let without =
+            run_config ~wake:Trigger_support.Sweep detection false w
+          in
+          let a = Engine.statistics with_opt
+          and b = Engine.statistics without in
+          a.Engine.considerations = b.Engine.considerations
+          && a.Engine.trigger_stats.Trigger_support.fired
+             = b.Engine.trigger_stats.Trigger_support.fired)
+        [ Trigger_support.Exact; Trigger_support.Endpoint ])
 
 let optimizer_saves_work =
   Gen.qcheck ~count:150 "V(E) filtering never adds recomputations"
@@ -254,14 +262,16 @@ let engine_is_deterministic =
 
 let suite = suite @ [ engine_is_deterministic ]
 
-(* The counter-budget guard (runs in CI via `dune runtest`): under the
+(* The counter-budget guards (run in CI via `dune runtest`): under the
    indexed wake, per-event trigger work must stay flat as the rule set
    widens — a regression that reintroduces any O(rules)-per-event cost
    into the wake path blows these budgets and fails the build.  The
    scenario is the E11 shape in miniature: [n] rules over disjoint event
-   types, round-robin creates, so exactly one rule is relevant per
-   line. *)
-let test_indexed_counter_budget () =
+   types, round-robin creates, so exactly one rule is relevant per line.
+   [event] is the rule on class [c]: a bare create, or the negation
+   shape create(c) + -delete(c), which must be woken and probed at its
+   creates only, like the bare one. *)
+let counter_budget event =
   let n = 50 and lines = 400 in
   let class_name i = Printf.sprintf "b%d" i in
   let schema = Schema.create () in
@@ -284,9 +294,7 @@ let test_indexed_counter_budget () =
   for i = 0 to n - 1 do
     ignore
       (Engine.define_exn engine
-         (noop_rule
-            (Printf.sprintf "b%d" i)
-            (Expr.prim (Event_type.create ~class_name:(class_name i)))))
+         (noop_rule (Printf.sprintf "b%d" i) (event (class_name i))))
   done;
   for line = 0 to lines - 1 do
     ok
@@ -307,13 +315,27 @@ let test_indexed_counter_budget () =
   in
   budget "trigger.probes" t.Trigger_support.probes ((2 * events) + n);
   budget "trigger.checks" t.Trigger_support.checks ((4 * events) + (2 * n));
-  budget "trigger.woken" t.Trigger_support.woken ((4 * events) + (2 * n))
+  budget "trigger.woken" t.Trigger_support.woken ((4 * events) + (2 * n));
+  Alcotest.(check int) "every create fired its rule" lines
+    t.Trigger_support.fired
+
+let test_indexed_counter_budget () =
+  counter_budget (fun class_name ->
+      Expr.prim (Event_type.create ~class_name))
+
+let test_negation_counter_budget () =
+  counter_budget (fun class_name ->
+      Expr.conj
+        (Expr.prim (Event_type.create ~class_name))
+        (Expr.not_ (Expr.prim (Event_type.delete ~class_name))))
 
 let suite =
   suite
   @ [
       Alcotest.test_case "indexed wake counter budget (CI guard)" `Quick
         test_indexed_counter_budget;
+      Alcotest.test_case "negation wake counter budget (CI guard)" `Quick
+        test_negation_counter_budget;
     ]
 
 (* Condition atoms form a conjunctive query: evaluation must be
@@ -539,9 +561,96 @@ let test_lift_counter_budget () =
   run 10;
   run 10_000
 
+(* Firings the V(E) filter must not lose: one rule per expression, each
+   driven through a trace whose firing arrival has a type Fig. 6 as
+   printed gives no positive variation — two traces for [<] with a
+   negated first operand, one for each kind of instance node a fresh
+   object flips.  Under both detection modes the production path (indexed
+   wake, optimizer on) fires as often as the sweep with the optimizer
+   off, which consults no V(E) at all. *)
+let test_vexpr_keeps_firings () =
+  let line engine ops = ok (Engine.execute_line engine ops) in
+  let stock engine =
+    Object_store.extent (Engine.store engine) ~class_name:"stock"
+  in
+  let modify oid =
+    Operation.Modify { oid; attribute = "quantity"; value = Value.Int 1 }
+  in
+  let new_stock () =
+    Domain.new_stock ~quantity:5 ~maxquantity:10 ~minquantity:0
+  in
+  let cases =
+    [
+      (* A new a after a d deactivates -d < a. *)
+      ( "-(-d < a , -(c < c))",
+        fun engine ->
+          ingest engine "a" 1;
+          ingest engine "c" 1;
+          ingest engine "d" 1;
+          ingest engine "a" 1 );
+      (* A create and a modify in one line leave the rule off; the delete
+         pulls (create , -delete) back to the create's stamp, before the
+         modify. *)
+      ( "(-modify(stock) + create(stock)) < (create(stock) , -delete(stock))",
+        fun engine ->
+          line engine [ new_stock () ];
+          ok (Engine.commit engine);
+          let oid = List.hd (stock engine) in
+          line engine [ new_stock (); modify oid ];
+          line engine [ Operation.Delete { oid } ] );
+      (* o2 has neither b nor a. *)
+      ( "(-=b += -=a) + b",
+        fun engine ->
+          ingest engine "b" 1;
+          ingest engine "c" 2 );
+      (* o2 has no a, so the min-lift of -=a turns negative. *)
+      ( "-(-=(-=a)) + a",
+        fun engine ->
+          ingest engine "a" 1;
+          ingest engine "c" 2 );
+    ]
+  in
+  List.iter
+    (fun (src, drive) ->
+      List.iter
+        (fun (mode, detection) ->
+          let fired trigger =
+            let config = { Engine.default_config with Engine.trigger } in
+            let engine = Engine.create ~config (Domain.schema ()) in
+            ignore
+              (Engine.define_exn engine
+                 (noop_rule "r" (Expr_parse.parse_exn src)));
+            ok (Engine.commit engine);
+            let fired = ref 0 in
+            Engine.set_on_execution engine (fun _ -> incr fired);
+            drive engine;
+            !fired
+          in
+          let off =
+            fired
+              {
+                Trigger_support.detection;
+                optimizer = false;
+                wake = Trigger_support.Sweep;
+              }
+          in
+          Alcotest.(check bool) (Printf.sprintf "%s fires (%s)" src mode) true
+            (off > 0);
+          Alcotest.(check int)
+            (Printf.sprintf "%s: optimizer on = off (%s)" src mode)
+            off
+            (fired { Trigger_support.default_config with detection }))
+        [
+          ("exact", Trigger_support.Exact);
+          ("endpoint", Trigger_support.Endpoint);
+        ])
+    cases
+
 let suite =
   suite
   @ [
+      Alcotest.test_case "V(E) keeps negation rules' firings" `Quick
+        test_vexpr_keeps_firings;
       Alcotest.test_case "lift state restarts after an abort" `Quick
         test_lift_restarts_after_abort;
       Alcotest.test_case "lift state after a rolled-back action block" `Quick
